@@ -417,18 +417,17 @@ func runMap(args []string) error {
 				return err
 			}
 		}
-		if err := runMapStream(p, g, streamConfig{
-			readsPath:   *readsPath,
-			outPath:     *outPath,
-			ckptPath:    *ckptFlag,
-			resume:      *resumeFlag,
-			lenient:     *lenientFlag,
-			batch:       *batchFlag,
-			cigar:       *cigarFlag,
-			opt:         opt,
-			fingerprint: fingerprint,
-			devices:     devices,
-			tracer:      cfg.Tracer,
+		if err := runMapStream(p, g, serve.StreamRun{
+			ReadsPath:      *readsPath,
+			SAMPath:        *outPath,
+			CheckpointPath: *ckptFlag,
+			Resume:         *resumeFlag,
+			Lenient:        *lenientFlag,
+			Batch:          *batchFlag,
+			Cigar:          *cigarFlag,
+			Options:        opt,
+			Fingerprint:    fingerprint,
+			Faults:         cl.EnvFaultPlan(),
 		}); err != nil {
 			return err
 		}

@@ -280,6 +280,37 @@ func TestStaleCheckpointRejected(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesShortSAM: a SAM file shorter than the checkpoint's
+// sam_bytes lost bytes the checkpoint vouches for. Resume must refuse it
+// and leave the file untouched instead of padding it out and appending.
+func TestResumeRefusesShortSAM(t *testing.T) {
+	dir := t.TempDir()
+	sam := filepath.Join(dir, "run.sam")
+	ckpt := filepath.Join(dir, "run.ckpt")
+	if out, err := runRepute(t, []string{"REPUTE_KILL_AFTER_BATCH=3"},
+		mapArgs(sam, "-checkpoint", ckpt)...); err == nil {
+		t.Fatalf("kill hook did not fire\n%s", out)
+	}
+	fi, err := os.Stat(sam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(sam, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	before := readFile(t, sam)
+	out, err := runRepute(t, nil, mapArgs(sam, "-checkpoint", ckpt, "-resume")...)
+	if err == nil {
+		t.Fatalf("resume over a short SAM succeeded\n%s", out)
+	}
+	if !strings.Contains(out, "checkpoint recorded") {
+		t.Errorf("want the short-SAM refusal, got:\n%s", out)
+	}
+	if !bytes.Equal(readFile(t, sam), before) {
+		t.Error("refused resume modified the SAM file")
+	}
+}
+
 // TestLenientDegradation: strict mode fails on a corrupted FASTQ with a
 // typed position; lenient mode completes and reports the skip tallies.
 func TestLenientDegradation(t *testing.T) {

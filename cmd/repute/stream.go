@@ -1,18 +1,18 @@
 package main
 
 // Streaming map mode: `repute map -batch N` reads FASTQ incrementally
-// through fastx.Scanner and maps it batch by batch via
-// core.Pipeline.MapStream, holding O(batch) reads in memory. With
-// -checkpoint the run becomes crash-safe — every batch boundary persists
-// a checkpoint binding the SAM prefix, the input offset, the RNG draw
-// count and the device fault ordinals, so a killed run resumed with
-// -resume produces output bit-identical to an uninterrupted one
-// (DESIGN.md §11).
+// and maps it batch by batch through serve.RunStream — the resume engine
+// `repute serve` runs its jobs through too — holding O(batch) reads in
+// memory. With -checkpoint the run becomes crash-safe — every batch
+// boundary persists a checkpoint binding the SAM prefix, the input
+// offset, the RNG draw count and the device fault ordinals, so a killed
+// run resumed with -resume produces output bit-identical to an
+// uninterrupted one (DESIGN.md §11).
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -22,139 +22,21 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cl"
 	"repro/internal/core"
-	"repro/internal/fastx"
 	"repro/internal/genome"
-	"repro/internal/mapper"
-	"repro/internal/sam"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
-// streamConfig carries the flag state runMapStream needs.
-type streamConfig struct {
-	readsPath string
-	outPath   string
-	ckptPath  string
-	resume    bool
-	lenient   bool
-	batch     int
-	cigar     bool
-	opt       mapper.Options
-	// fingerprint binds checkpoints to the index + options combination;
-	// runMap computes it from the artifact digest (O(1)) or by hashing
-	// the in-memory index on the -ref rebuild path.
-	fingerprint string
-	devices     []*cl.Device
-	tracer      trace.Tracer
-}
-
 // runMapStream is the streaming/checkpointed counterpart of runMap's
-// in-memory mapping loop.
-func runMapStream(p *core.Pipeline, g *genome.Genome, cfg streamConfig) error {
-	st := &checkpoint.State{
-		Version:       checkpoint.Version,
-		Fingerprint:   cfg.fingerprint,
-		BatchSize:     cfg.batch,
-		DeviceSeconds: map[string]float64{},
-	}
-	var err error
-	if cfg.resume {
-		loaded, err := checkpoint.Load(cfg.ckptPath)
-		if err != nil {
-			return err
-		}
-		if err := loaded.Verify(cfg.fingerprint); err != nil {
-			return err
-		}
-		if loaded.BatchSize != cfg.batch {
-			return fmt.Errorf("checkpoint: batch size %d differs from -batch %d (batch boundaries would shift)",
-				loaded.BatchSize, cfg.batch)
-		}
-		st = loaded
-		if st.DeviceSeconds == nil {
-			st.DeviceSeconds = map[string]float64{}
-		}
-	}
-
-	// Arm the environment fault plan before the first Map so the resumed
-	// ordinal counters can be seated; Pipeline.Map would otherwise arm it
-	// lazily with fresh counters and the injection schedule would replay
-	// from the start instead of continuing.
-	if plan := cl.EnvFaultPlan(); plan != nil {
-		for _, d := range cfg.devices {
-			if !d.FaultsInstalled() {
-				d.InstallFaults(plan)
-			}
-			if o, ok := st.FaultOrdinals[d.Name]; cfg.resume && ok {
-				d.RestoreFaultOrdinals(o)
-			}
-		}
-	}
-
-	// Output: fresh runs write a headered SAM file; resumes truncate to
-	// the checkpointed prefix (a crash can leave extra flushed bytes past
-	// it, never fewer) and append header-less records.
-	refs := make([]sam.RefSeq, len(g.Contigs()))
-	for i, c := range g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	var (
-		out *os.File
-		sw  *sam.Writer
-	)
-	if cfg.resume {
-		out, err = os.OpenFile(cfg.outPath, os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		if err := out.Truncate(st.SAMBytes); err != nil {
-			out.Close()
-			return err
-		}
-		if _, err := out.Seek(st.SAMBytes, io.SeekStart); err != nil {
-			out.Close()
-			return err
-		}
-		sw = sam.NewAppendWriter(out, refs[0].Name)
-	} else {
-		out, err = os.Create(cfg.outPath)
-		if err != nil {
-			return err
-		}
-		if sw, err = sam.NewMultiWriter(out, refs); err != nil {
-			out.Close()
-			return err
-		}
-	}
-	defer out.Close()
-
-	rf, err := os.Open(cfg.readsPath)
-	if err != nil {
-		return err
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(st.Offset, io.SeekStart); err != nil {
-		return err
-	}
-	sc := fastx.NewScanner(rf, fastx.ScanOptions{
-		Format:     fastx.FormatFASTQ,
-		Lenient:    cfg.lenient,
-		Name:       cfg.readsPath,
-		Tracer:     cfg.tracer,
-		BaseOffset: st.Offset,
-		BaseLine:   st.Line,
-	})
-	codec := fastx.NewCodec(0)
-	codec.FastForward(st.RNGDraws)
-	src := core.NewScanSource(sc, codec, cfg.batch, cfg.lenient, cfg.opt.MaxErrors, st.Reads)
-
+// in-memory mapping loop: serve.RunStream does the mapping and the
+// resume protocol; this front end adds signal handling, the test hooks
+// and the summary.
+func runMapStream(p *core.Pipeline, g *genome.Genome, run serve.StreamRun) error {
 	// Graceful shutdown: the first SIGINT/SIGTERM requests a stop at the
-	// next batch boundary (the emit callback returns core.Stop after
-	// persisting that boundary's checkpoint); a second signal falls back
-	// to default delivery and kills the process — which is exactly the
-	// crash the checkpoint protocol survives.
+	// next batch boundary (OnBatch returns core.Stop after that boundary's
+	// checkpoint is durable); a second signal falls back to default
+	// delivery and kills the process — which is exactly the crash the
+	// checkpoint protocol survives.
 	var stopped atomic.Bool
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -165,96 +47,28 @@ func runMapStream(p *core.Pipeline, g *genome.Genome, cfg streamConfig) error {
 		signal.Stop(sigCh)
 	}()
 
-	// baseFaults preserves the resumed run's cumulative tallies: per-batch
-	// device-fault stats accumulate on top, while the skip tallies are
-	// recomputed as base + this process's scanner totals.
-	baseFaults := st.Faults
+	killAfter := envInt("REPUTE_KILL_AFTER_BATCH")
+	delay := time.Duration(envInt("REPUTE_STREAM_BATCH_DELAY_MS")) * time.Millisecond
 	batchesThisRun := 0
-	wallStart := time.Now()
-
-	emit := func(b core.StreamBatch, res *mapper.Result) error {
-		for i, name := range b.Names {
-			dropped, err := serve.WriteReadAlignments(sw, g, p, name, b.Reads[i],
-				res.Mappings[i], cfg.cigar, cfg.opt.MaxErrors)
-			if err != nil {
-				return err
-			}
-			st.Dropped += dropped
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		pos, err := out.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-
-		st.Batches++
-		st.Reads = b.Start + len(b.Reads)
-		for _, ms := range res.Mappings {
-			if len(ms) > 0 {
-				st.Mapped++
-			}
-			st.Locations += len(ms)
-		}
-		st.SimSeconds += res.SimSeconds
-		st.EnergyJ += res.EnergyJ
-		for dev, sec := range res.DeviceSeconds {
-			st.DeviceSeconds[dev] += sec
-		}
-		st.Cost.Add(res.Cost)
-		st.Faults.Add(res.Faults)
-		applySkips(st, baseFaults, b.Token.Skipped)
-		st.Offset = b.Token.Offset
-		st.Line = b.Token.Line
-		st.RNGDraws = b.Token.RNGDraws
-		st.SAMBytes = pos
-		st.FaultOrdinals = snapshotOrdinals(cfg.devices)
-
-		if cfg.ckptPath != "" {
-			if err := checkpoint.Save(cfg.ckptPath, st); err != nil {
-				return err
-			}
-		}
+	run.OnBatch = func(*checkpoint.State) error {
 		batchesThisRun++
-		if n := envInt("REPUTE_KILL_AFTER_BATCH"); n > 0 && batchesThisRun >= n {
+		if killAfter > 0 && batchesThisRun >= killAfter {
 			// Test hook: die as abruptly as SIGKILL would, after this
 			// batch's checkpoint is durable.
 			os.Exit(137)
 		}
-		if d := envInt("REPUTE_STREAM_BATCH_DELAY_MS"); d > 0 {
-			time.Sleep(time.Duration(d) * time.Millisecond)
-		}
+		time.Sleep(delay)
 		if stopped.Load() {
 			return core.Stop
 		}
 		return nil
 	}
 
-	sr, err := p.MapStream(context.Background(), src, cfg.opt, emit)
-	interrupted := err == core.Stop
+	wallStart := time.Now()
+	st, err := serve.RunStream(context.Background(), p, g, run)
+	interrupted := errors.Is(err, core.Stop)
 	if err != nil && !interrupted {
 		return err
-	}
-	// Trailing lenient skips (between the last full batch and EOF) arrive
-	// with the final empty batch; MapStream reports this process's total
-	// scanner tallies in sr.Faults, so fold them onto the resumed baseline.
-	if !interrupted {
-		applySkips(st, baseFaults, fastx.SkipStats{
-			Records: sr.Faults.SkippedRecords,
-			Reasons: sr.Faults.SkipReasons,
-		})
-	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	if pos, err := out.Seek(0, io.SeekCurrent); err == nil {
-		st.SAMBytes = pos
-	}
-	if cfg.ckptPath != "" {
-		if err := checkpoint.Save(cfg.ckptPath, st); err != nil {
-			return err
-		}
 	}
 	wall := time.Since(wallStart)
 
@@ -279,45 +93,13 @@ func runMapStream(p *core.Pipeline, g *genome.Genome, cfg streamConfig) error {
 			st.Faults.SkippedRecords, formatReasons(st.Faults.SkipReasons))
 	}
 	if interrupted {
-		if cfg.ckptPath != "" {
+		if run.CheckpointPath != "" {
 			return fmt.Errorf("map: interrupted after %d read(s); resume with -resume -checkpoint %s",
-				st.Reads, cfg.ckptPath)
+				st.Reads, run.CheckpointPath)
 		}
 		return fmt.Errorf("map: interrupted after %d read(s)", st.Reads)
 	}
 	return nil
-}
-
-// applySkips sets st's skip tallies to the resumed baseline plus this
-// process's scanner totals, always with a fresh map.
-func applySkips(st *checkpoint.State, base mapper.FaultStats, sk fastx.SkipStats) {
-	st.Faults.SkippedRecords = base.SkippedRecords + sk.Records
-	if base.SkipReasons == nil && sk.Reasons == nil {
-		st.Faults.SkipReasons = nil
-		return
-	}
-	m := make(map[string]int, len(base.SkipReasons)+len(sk.Reasons))
-	for r, n := range base.SkipReasons {
-		m[r] += n
-	}
-	for r, n := range sk.Reasons {
-		m[r] += n
-	}
-	st.Faults.SkipReasons = m
-}
-
-// snapshotOrdinals captures every armed device's fault ordinals.
-func snapshotOrdinals(devices []*cl.Device) map[string]cl.FaultOrdinals {
-	var m map[string]cl.FaultOrdinals
-	for _, d := range devices {
-		if o, ok := d.FaultOrdinals(); ok {
-			if m == nil {
-				m = map[string]cl.FaultOrdinals{}
-			}
-			m[d.Name] = o
-		}
-	}
-	return m
 }
 
 // formatReasons renders a reason→count map deterministically.

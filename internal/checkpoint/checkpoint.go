@@ -2,9 +2,9 @@
 // batch boundary the host records how far it got — input byte offset,
 // ambiguity-draw count, SAM output size, cumulative stats, and the
 // fault-injection ordinals of every device — in a small deterministic
-// JSON file, written atomically (temp file + rename) so a kill at any
-// instant leaves either the previous checkpoint or the new one, never a
-// torn file.
+// JSON file, written atomically and durably (durable.WriteFile) so a
+// kill or power cut at any instant leaves either the previous checkpoint
+// or the new one, never a torn file.
 //
 // A checkpoint is only valid against the exact reference index and
 // mapping options that produced it: both are folded into a fingerprint,
@@ -21,10 +21,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/cl"
+	"repro/internal/durable"
 	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
@@ -103,14 +105,7 @@ func Fingerprint(ix *fmindex.Index, opt mapper.Options, extra ...string) (string
 	if _, err := ix.WriteTo(h); err != nil {
 		return "", fmt.Errorf("checkpoint: fingerprint: %w", err)
 	}
-	o := opt.WithDefaults()
-	fmt.Fprintf(h, "|e=%d|loc=%d|best=%t|smin=%d|freq=%d|retries=%d|backoff=%g|prefilter=%s",
-		o.MaxErrors, o.MaxLocations, o.Best, o.MinSeedLen, o.MaxSeedFreq,
-		o.Retries, o.RetryBackoffSimSec, o.Prefilter)
-	for _, e := range extra {
-		fmt.Fprintf(h, "|%s", e)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
+	return sumOptions(h, opt, extra), nil
 }
 
 // FingerprintDigest is Fingerprint for runs mapping against a persistent
@@ -123,6 +118,13 @@ func Fingerprint(ix *fmindex.Index, opt mapper.Options, extra ...string) (string
 func FingerprintDigest(digest [32]byte, opt mapper.Options, extra ...string) string {
 	h := sha256.New()
 	h.Write(digest[:])
+	return sumOptions(h, opt, extra)
+}
+
+// sumOptions appends the one option encoding both fingerprints share to
+// the index identity already in h and returns the truncated hex digest.
+// Changing the format invalidates every checkpoint on disk.
+func sumOptions(h hash.Hash, opt mapper.Options, extra []string) string {
 	o := opt.WithDefaults()
 	fmt.Fprintf(h, "|e=%d|loc=%d|best=%t|smin=%d|freq=%d|retries=%d|backoff=%g|prefilter=%s",
 		o.MaxErrors, o.MaxLocations, o.Best, o.MinSeedLen, o.MaxSeedFreq,
@@ -171,62 +173,21 @@ func CheckDir(dir string) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power
-// loss; filesystems that reject directory fsync (some network mounts)
-// are tolerated, matching the usual write-ahead-log practice.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil && (os.IsPermission(err) || os.IsNotExist(err)) {
-		return err
-	}
-	// EINVAL/ENOTSUP from Sync on exotic filesystems: the rename itself
-	// still happened; treat as best-effort.
-	return nil
-}
-
-// Save writes the checkpoint atomically and durably: marshal, write to
-// a temp file in the same directory, fsync, rename over path, then
-// fsync the parent directory so the new directory entry itself is on
-// disk — without that last step a power cut after the rename can roll
-// the directory back to the old entry (or none). Equal states produce
-// byte-identical files.
+// Save writes the checkpoint atomically and durably through
+// durable.WriteFile: temp file, fsync, rename over path, then fsync the
+// parent directory so the new entry itself is on disk — without that
+// last step a power cut after the rename can roll the directory back to
+// the old entry (or none). Equal states produce byte-identical files.
 func Save(path string, st *State) error {
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	b = append(b, '\n')
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

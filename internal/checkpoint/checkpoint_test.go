@@ -158,8 +158,12 @@ func TestSaveIsAtomic(t *testing.T) {
 	if st.Fingerprint != "b" {
 		t.Errorf("overwrite lost the newer state: %+v", st)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after rename")
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("temp file left behind after rename: %d directory entries", len(ents))
 	}
 }
 
@@ -234,5 +238,28 @@ func TestSaveSyncsDirectory(t *testing.T) {
 	}
 	if err := Save(filepath.Join(gone, "run.ckpt"), &State{Version: Version}); err == nil {
 		t.Error("Save into a removed directory succeeded")
+	}
+}
+
+// TestFingerprintGolden pins both fingerprints for a fixed index and
+// options. The values were produced by the encoding checkpoints already
+// on disk carry; if this test fails, those checkpoints would no longer
+// resume.
+func TestFingerprintGolden(t *testing.T) {
+	ix := testIndex(t, bytes.Repeat([]byte{0, 1, 2, 3, 2, 1}, 400))
+	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100, Prefilter: mapper.PrefilterGateKeeper}
+	fp, err := Fingerprint(ix, opt, "batch=64", "lenient=true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fd0a4032ebdfd2d48d2e622785a2c7a0"; fp != want {
+		t.Errorf("Fingerprint = %s, want %s", fp, want)
+	}
+	var digest [32]byte
+	for i := range digest {
+		digest[i] = byte(i)
+	}
+	if got, want := FingerprintDigest(digest, opt, "batch=64", "lenient=true"), "717c340f64889e908c177d5949fbe412"; got != want {
+		t.Errorf("FingerprintDigest = %s, want %s", got, want)
 	}
 }

@@ -209,6 +209,14 @@ func (p *Pipeline) Sharded() bool { return p.shards != nil }
 // Name implements mapper.Mapper.
 func (p *Pipeline) Name() string { return p.name }
 
+// Devices returns the pipeline's devices in dispatch order.
+func (p *Pipeline) Devices() []*cl.Device { return p.devices }
+
+// Tracer returns the pipeline's tracer (nil when tracing is off), so
+// stages around a run — streaming ingest, say — record on the same
+// timeline.
+func (p *Pipeline) Tracer() trace.Tracer { return p.tracer }
+
 // Index exposes the pipeline's FM-index (examples inspect it). It is nil
 // for shard-dispatch pipelines, which hold per-shard indexes instead.
 func (p *Pipeline) Index() *fmindex.Index { return p.ix }

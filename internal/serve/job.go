@@ -2,20 +2,23 @@ package serve
 
 // Job model and the on-disk job store. Every job owns one spool
 // directory (reads.fq upload, out.sam output, run.ckpt checkpoint,
-// job.json metadata); job.json is persisted atomically on every state
-// transition, so a killed server restarted over the same spool sees
-// every job exactly as it last durably was and re-queues the unfinished
-// ones in admission order.
+// job.json metadata); job.json is persisted atomically and durably on
+// every state transition, so a killed server restarted over the same
+// spool sees every job exactly as it last durably was and re-queues the
+// unfinished ones in admission order.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/cl"
+	"repro/internal/durable"
 )
 
 // JobState is a job's position in its lifecycle. The machine is
@@ -176,21 +179,19 @@ func newStore(dir string) (*store, error) {
 	return s, nil
 }
 
-// persist writes a job's metadata atomically (tmp + rename). It takes a
-// snapshot, not store state, so it needs no lock of its own.
+// persist writes a job's metadata durably (durable.WriteFile). It
+// takes a snapshot, not store state, so it needs no lock of its own;
+// concurrent writers of one job.json never share a temp file.
 func (s *store) persist(j *Job) error {
 	b, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
 	b = append(b, '\n')
-	path := filepath.Join(s.jobDir(j.ID), "job.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("serve: job %s: %w", j.ID, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(filepath.Join(s.jobDir(j.ID), "job.json"), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}); err != nil {
 		return fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
 	return nil
@@ -203,44 +204,50 @@ func (s *store) depth() (n int, bytes int64) {
 	return len(s.queue), s.inflightBytes
 }
 
-// admit creates a new queued job if the queue has room for it,
-// returning the job copy and true, or the current queue depth and false
-// when admission control rejects it. size is the spooled upload size.
-func (s *store) admit(template Job, size int64, maxQueue int, maxBytes int64) (Job, int, bool) {
+// errQueueFull is admit's admission-control refusal.
+var errQueueFull = errors.New("serve: queue full")
+
+// admit turns a spooled upload into a new queued job if the queue has
+// room for it, returning the job copy and the new queue depth. size is
+// the upload's size; upload is its (already fsynced) temp file in the
+// spool root. Under the store lock, admit creates the job directory,
+// renames the upload to reads.fq, writes job.json durably and fsyncs the
+// spool root — and only then queues the job, so a job is never visible
+// to the scheduler before its spool is complete and durable. On
+// failure it rolls all of that back and removes the upload; when the
+// queue is full it returns errQueueFull with the current depth.
+func (s *store) admit(template Job, upload string, size int64, maxQueue int, maxBytes int64) (Job, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.queue) >= maxQueue || s.inflightBytes+size > maxBytes {
-		return Job{}, len(s.queue), false
+		os.Remove(upload)
+		return Job{}, len(s.queue), errQueueFull
 	}
 	j := template
 	j.Seq = s.nextSeq
-	s.nextSeq++
 	j.ID = fmt.Sprintf("job-%06d", j.Seq)
 	j.State = StateQueued
 	j.Bytes = size
+	err := os.MkdirAll(s.jobDir(j.ID), 0o755)
+	if err == nil {
+		err = os.Rename(upload, s.readsPath(j.ID))
+	}
+	if err == nil {
+		err = s.persist(&j)
+	}
+	if err == nil {
+		err = durable.SyncDir(s.dir)
+	}
+	if err != nil {
+		os.Remove(upload)
+		os.RemoveAll(s.jobDir(j.ID))
+		return Job{}, len(s.queue), err
+	}
+	s.nextSeq++
 	s.jobs[j.ID] = &j
 	s.queue = append(s.queue, j.ID)
 	s.inflightBytes += size
-	return j, len(s.queue), true
-}
-
-// forget removes a job that failed spooling after admit, releasing its
-// queue slot.
-func (s *store) forget(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
-	}
-	delete(s.jobs, id)
-	for i, qid := range s.queue {
-		if qid == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
-	}
-	s.inflightBytes -= j.Bytes
+	return j, len(s.queue), nil
 }
 
 // get returns a copy of the job.

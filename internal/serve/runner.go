@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fastx"
 	"repro/internal/mapper"
-	"repro/internal/sam"
 	"repro/internal/seed"
 	"repro/internal/trace"
 )
@@ -179,12 +177,10 @@ func (s *Server) runJob(job Job, devs []*cl.Device) {
 // that don't parse), which classify as "input" rather than "internal".
 var errBadInput = errors.New("serve: bad input")
 
-// runAttempt runs one MapStream pass over the job's spooled reads,
-// resuming from the job's checkpoint when one exists. It is the service
-// counterpart of the CLI's streaming loop and shares its invariants:
-// SAM truncated to the checkpointed prefix, scanner seeked to the
-// checkpointed offset, codec fast-forwarded, fault ordinals restored —
-// so a resumed job is bit-identical to an uninterrupted one.
+// runAttempt runs one attempt of a job through RunStream over its
+// spooled reads, resuming from the job's checkpoint when one exists —
+// the same resume protocol as `repute map -resume`, so a resumed job is
+// bit-identical to an uninterrupted one.
 func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) error {
 	p, err := s.newPipeline(rec, devs)
 	if err != nil {
@@ -194,63 +190,36 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		MaxErrors: s.cfg.MaxErrors, MaxLocations: s.cfg.MaxLocations,
 		Prefilter: job.Prefilter,
 	}
-	fingerprint := checkpoint.FingerprintDigest(s.digest, opt,
-		fmt.Sprintf("batch=%d", job.Batch),
-		fmt.Sprintf("cigar=%t", job.Cigar),
-		fmt.Sprintf("devices=%d", job.Devices),
-		"faults="+job.Faults,
-	)
-
-	ckptPath := s.store.ckptPath(job.ID)
-	st := &checkpoint.State{
-		Version:       checkpoint.Version,
-		Fingerprint:   fingerprint,
-		BatchSize:     job.Batch,
-		DeviceSeconds: map[string]float64{},
+	run := StreamRun{
+		ReadsPath:      s.store.readsPath(job.ID),
+		SAMPath:        s.store.samPath(job.ID),
+		CheckpointPath: s.store.ckptPath(job.ID),
+		Batch:          job.Batch,
+		Cigar:          job.Cigar,
+		Options:        opt,
+		Fingerprint: checkpoint.FingerprintDigest(s.digest, opt,
+			fmt.Sprintf("batch=%d", job.Batch),
+			fmt.Sprintf("cigar=%t", job.Cigar),
+			fmt.Sprintf("devices=%d", job.Devices),
+			"faults="+job.Faults,
+		),
 	}
-	resume := false
-	if _, serr := os.Stat(ckptPath); serr == nil {
-		loaded, lerr := checkpoint.Load(ckptPath)
-		if lerr != nil {
-			return lerr
-		}
-		if verr := loaded.Verify(fingerprint); verr != nil {
-			return verr
-		}
-		st = loaded
-		if st.DeviceSeconds == nil {
-			st.DeviceSeconds = map[string]float64{}
-		}
-		resume = true
+	if _, serr := os.Stat(run.CheckpointPath); serr == nil {
+		run.Resume = true
 		s.reg.Counter(metricJobsResumed).Add(1)
 	}
 
-	// Per-job chaos: install the job's fault plan with fresh ordinals
-	// (or the checkpointed ones on resume) on the job's own partition
-	// only — a device=K directive narrows it further to the Kth
-	// partition member, which is how a chaos run loses one device while
+	// Per-job chaos: the job's fault plan is armed on the job's own
+	// partition only — a device=K directive narrows it to the Kth
+	// partition member (admission already checked K against the
+	// partition size), which is how a chaos run loses one device while
 	// its partition partners stay healthy. Always disarm afterwards: an
 	// injected fault plan must never outlive the job that carried it.
 	// (The breaker state a plan tripped intentionally does outlive it;
 	// readmission goes through the allocator's half-open canary.)
 	if job.Faults != "" {
-		plan, perr := cl.ParseFaultPlan(job.Faults)
-		if perr != nil {
-			return fmt.Errorf("%w: %w", errBadInput, perr)
-		}
-		armed := devs
-		if plan.Device > 0 {
-			if plan.Device > len(devs) {
-				return fmt.Errorf("%w: fault directive device=%d exceeds the job's %d-device partition",
-					errBadInput, plan.Device, len(devs))
-			}
-			armed = devs[plan.Device-1 : plan.Device]
-		}
-		for _, d := range armed {
-			d.InstallFaults(plan)
-			if o, ok := st.FaultOrdinals[d.Name]; resume && ok {
-				d.RestoreFaultOrdinals(o)
-			}
+		if run.Faults, err = cl.ParseFaultPlan(job.Faults); err != nil {
+			return fmt.Errorf("%w: %w", errBadInput, err)
 		}
 	}
 	defer func() {
@@ -259,110 +228,13 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		}
 	}()
 
-	// Output SAM: fresh attempts write a headered file; resumes truncate
-	// to the checkpointed prefix and append.
-	refs := make([]sam.RefSeq, len(s.g.Contigs()))
-	for i, c := range s.g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	samPath := s.store.samPath(job.ID)
-	var (
-		out *os.File
-		sw  *sam.Writer
-	)
-	if resume {
-		out, err = os.OpenFile(samPath, os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		if err := out.Truncate(st.SAMBytes); err != nil {
-			out.Close()
-			return err
-		}
-		if _, err := out.Seek(st.SAMBytes, io.SeekStart); err != nil {
-			out.Close()
-			return err
-		}
-		sw = sam.NewAppendWriter(out, refs[0].Name)
-	} else {
-		out, err = os.Create(samPath)
-		if err != nil {
-			return err
-		}
-		if sw, err = sam.NewMultiWriter(out, refs); err != nil {
-			out.Close()
-			return err
-		}
-	}
-	defer out.Close()
-
-	rf, err := os.Open(s.store.readsPath(job.ID))
-	if err != nil {
-		return err
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(st.Offset, io.SeekStart); err != nil {
-		return err
-	}
-	sc := fastx.NewScanner(rf, fastx.ScanOptions{
-		Format:     fastx.FormatFASTQ,
-		Name:       job.ID + "/reads.fq",
-		Tracer:     rec,
-		BaseOffset: st.Offset,
-		BaseLine:   st.Line,
-	})
-	codec := fastx.NewCodec(0)
-	codec.FastForward(st.RNGDraws)
-	src := core.NewScanSource(sc, codec, job.Batch, false, opt.MaxErrors, st.Reads)
-
 	ctx := context.Background()
 	if job.DeadlineMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-
-	emit := func(b core.StreamBatch, res *mapper.Result) error {
-		for i, name := range b.Names {
-			dropped, werr := WriteReadAlignments(sw, s.g, p, name, b.Reads[i],
-				res.Mappings[i], job.Cigar, opt.MaxErrors)
-			if werr != nil {
-				return werr
-			}
-			st.Dropped += dropped
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		pos, err := out.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-
-		st.Batches++
-		st.Reads = b.Start + len(b.Reads)
-		for _, ms := range res.Mappings {
-			if len(ms) > 0 {
-				st.Mapped++
-			}
-			st.Locations += len(ms)
-		}
-		st.SimSeconds += res.SimSeconds
-		st.EnergyJ += res.EnergyJ
-		for dev, sec := range res.DeviceSeconds {
-			st.DeviceSeconds[dev] += sec
-		}
-		st.Cost.Add(res.Cost)
-		st.Faults.Add(res.Faults)
-		st.Offset = b.Token.Offset
-		st.Line = b.Token.Line
-		st.RNGDraws = b.Token.RNGDraws
-		st.SAMBytes = pos
-		st.FaultOrdinals = snapshotOrdinals(devs)
-
-		if err := checkpoint.Save(ckptPath, st); err != nil {
-			return err
-		}
+	run.OnBatch = func(st *checkpoint.State) error {
 		s.store.update(job.ID, func(j *Job) { //nolint:errcheck
 			j.Reads = st.Reads
 			j.Mapped = st.Mapped
@@ -379,21 +251,14 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		return nil
 	}
 
-	_, err = p.MapStream(ctx, src, opt, emit)
-	if err != nil {
-		var pe *fastx.ParseError
-		if errors.As(err, &pe) {
-			return fmt.Errorf("%w: %w", errBadInput, err)
-		}
-		return err
+	_, err = RunStream(ctx, p, s.g, run)
+	var pe *fastx.ParseError
+	if errors.As(err, &pe) {
+		// Clients see the job's own input name, not the spool layout.
+		pe.File = job.ID + "/reads.fq"
+		return fmt.Errorf("%w: %w", errBadInput, err)
 	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	if pos, perr := out.Seek(0, io.SeekCurrent); perr == nil {
-		st.SAMBytes = pos
-	}
-	return checkpoint.Save(ckptPath, st)
+	return err
 }
 
 // newPipeline wires a per-job pipeline over the shared index and the
@@ -427,19 +292,4 @@ func (s *Server) newPipeline(rec *trace.Recorder, devs []*cl.Device) (*core.Pipe
 		}
 	}
 	return core.NewFromIndex(s.file.Indexes[0], devs, cfg)
-}
-
-// snapshotOrdinals captures every armed device's fault ordinals for the
-// checkpoint, mirroring the CLI's streaming loop.
-func snapshotOrdinals(devices []*cl.Device) map[string]cl.FaultOrdinals {
-	var m map[string]cl.FaultOrdinals
-	for _, d := range devices {
-		if o, ok := d.FaultOrdinals(); ok {
-			if m == nil {
-				m = map[string]cl.FaultOrdinals{}
-			}
-			m[d.Name] = o
-		}
-	}
-	return m
 }

@@ -32,6 +32,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -417,6 +418,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	tmpName := tmp.Name()
 	size, err := io.Copy(tmp, file)
+	if err == nil {
+		err = tmp.Sync() // durable before admit renames it into the job's spool
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -430,32 +434,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	admitted, depth, ok := s.store.admit(job, size, s.cfg.MaxQueue, s.cfg.MaxInflightBytes)
-	if !ok {
-		os.Remove(tmpName)
+	admitted, depth, err := s.store.admit(job, tmpName, size, s.cfg.MaxQueue, s.cfg.MaxInflightBytes)
+	if errors.Is(err, errQueueFull) {
 		s.rejectOverload(w, depth)
 		return
 	}
-	if err := os.MkdirAll(s.store.jobDir(admitted.ID), 0o755); err == nil {
-		err = os.Rename(tmpName, s.store.readsPath(admitted.ID))
-	}
-	if err == nil {
-		err = s.store.persist(&admitted)
-	}
 	if err != nil {
-		os.Remove(tmpName)
-		s.store.forget(admitted.ID)
-		os.RemoveAll(s.store.jobDir(admitted.ID))
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
 
 	s.reg.Counter(metricJobsAdmitted).Add(1)
 	s.updateGauges()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.wakeUp()
 	writeJSON(w, http.StatusAccepted, admitted)
 }
 

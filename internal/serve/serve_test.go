@@ -15,7 +15,10 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -606,5 +609,92 @@ func TestServePrefilter(t *testing.T) {
 	defer bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad prefilter = %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestAdmitVisibleOnlyWhenSpooled: from the moment a job is visible to
+// the scheduler its spool directory must already hold reads.fq and
+// job.json. Concurrent submitters race a watcher that checks every job
+// the instant it appears in the store (queue and job table alike), while the real dispatcher dequeues
+// and runs them; every job must then finish on its first attempt.
+func TestAdmitVisibleOnlyWhenSpooled(t *testing.T) {
+	fx := newFixture(t, 30_000, 4)
+	spool := t.TempDir()
+	s, ts := newServer(t, fx, spool, func(c *Config) { c.MaxQueue = 1000 })
+	defer s.Drain()
+
+	stop := make(chan struct{})
+	watched := make(chan []string)
+	go func() {
+		seen := map[string]bool{}
+		var missing []string
+		for {
+			select {
+			case <-stop:
+				watched <- missing
+				return
+			default:
+			}
+			for _, j := range s.store.snapshotJobs() {
+				if seen[j.ID] {
+					continue
+				}
+				seen[j.ID] = true
+				for _, f := range []string{"reads.fq", "job.json"} {
+					if _, err := os.Stat(filepath.Join(spool, j.ID, f)); err != nil {
+						missing = append(missing, j.ID+"/"+f)
+					}
+				}
+			}
+		}
+	}()
+
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	fw, err := mw.CreateFormFile("reads", "reads.fq")
+	if err == nil {
+		_, err = fw.Write(fx.fastq)
+	}
+	if err == nil {
+		err = mw.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submitters, perSubmitter = 4, 10
+	ids := make(chan string, submitters*perSubmitter)
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				resp, err := http.Post(ts.URL+"/jobs", mw.FormDataContentType(), bytes.NewReader(body.Bytes()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var j Job
+				err = json.NewDecoder(resp.Body).Decode(&j)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || err != nil {
+					t.Errorf("submit = %d (%v), want 202", resp.StatusCode, err)
+					continue
+				}
+				ids <- j.ID
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	close(stop)
+	if missing := <-watched; len(missing) > 0 {
+		t.Errorf("jobs visible before their spool was complete: %v", missing)
+	}
+	for id := range ids {
+		j := awaitState(t, ts.URL, id, StateDone, StateFailed)
+		if j.State != StateDone || j.Attempts != 1 {
+			t.Errorf("job %s: state %q after %d attempt(s) (error %+v), want done on the first", id, j.State, j.Attempts, j.Error)
+		}
 	}
 }
