@@ -96,15 +96,7 @@ func run(scaleName string, seed int64, runList, outPath, jsonPath, traceOut, ind
 			fmt.Printf("\nwrote markdown report to %s\n", outPath)
 		}
 		if jsonPath != "" {
-			f, err := os.Create(jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := report.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := bench.WriteJSONFile(jsonPath, report); err != nil {
 				return err
 			}
 			fmt.Printf("wrote JSON report to %s\n", jsonPath)
@@ -188,15 +180,7 @@ func run(scaleName string, seed int64, runList, outPath, jsonPath, traceOut, ind
 		}
 		b.Render(os.Stdout)
 		if indexOut != "" {
-			f, err := os.Create(indexOut)
-			if err != nil {
-				return err
-			}
-			if err := b.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := bench.WriteJSONFile(indexOut, b); err != nil {
 				return err
 			}
 			fmt.Printf("wrote index benchmark JSON to %s\n", indexOut)
@@ -210,15 +194,7 @@ func run(scaleName string, seed int64, runList, outPath, jsonPath, traceOut, ind
 		}
 		b.Render(os.Stdout)
 		if prefilterOut != "" {
-			f, err := os.Create(prefilterOut)
-			if err != nil {
-				return err
-			}
-			if err := b.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := bench.WriteJSONFile(prefilterOut, b); err != nil {
 				return err
 			}
 			fmt.Printf("wrote prefilter ablation JSON to %s\n", prefilterOut)
@@ -232,15 +208,7 @@ func run(scaleName string, seed int64, runList, outPath, jsonPath, traceOut, ind
 		}
 		b.Render(os.Stdout)
 		if serveOut != "" {
-			f, err := os.Create(serveOut)
-			if err != nil {
-				return err
-			}
-			if err := b.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := bench.WriteJSONFile(serveOut, b); err != nil {
 				return err
 			}
 			fmt.Printf("wrote serve load-sweep JSON to %s\n", serveOut)

@@ -8,7 +8,6 @@ package bench
 // the repository root is a committed run of it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -152,11 +151,4 @@ func (b *IndexBench) Render(w io.Writer) {
 			cfg, r.BuildSec*1e3, r.WriteSec*1e3, r.LoadSec*1e3, r.InfoSec*1e3,
 			r.FileBytes, r.Speedup)
 	}
-}
-
-// WriteJSON writes the measurements as indented JSON (BENCH_index.json).
-func (b *IndexBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // jsonReport mirrors Report with stable, exported field names for
@@ -51,7 +52,10 @@ type jsonCheck struct {
 }
 
 // WriteJSON emits the full report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
+func (r *Report) WriteJSON(w io.Writer) error { return encodeJSON(w, r) }
+
+// MarshalJSON reshapes the report into its stable machine-readable form.
+func (r *Report) MarshalJSON() ([]byte, error) {
 	out := jsonReport{
 		Scale:  r.Scale.Name,
 		RefLen: r.Scale.RefLen,
@@ -95,7 +99,26 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	for _, c := range CheckShapes(r.T1, r.T2, r.T3, r.T4, r.F3, r.F4) {
 		out.Checks = append(out.Checks, jsonCheck{Name: c.Name, Pass: c.Pass, Detail: c.Detail})
 	}
+	return json.Marshal(out)
+}
+
+// encodeJSON writes v as two-space-indented JSON with a trailing
+// newline, the format of every committed BENCH_*.json file.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(v)
+}
+
+// WriteJSONFile creates path and writes v into it as indented JSON.
+func WriteJSONFile(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = encodeJSON(f, v)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

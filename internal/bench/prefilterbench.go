@@ -10,7 +10,6 @@ package bench
 // BENCH_prefilter.json at the repository root is a committed run of it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -183,11 +182,4 @@ func (b *PrefilterBench) Render(w io.Writer) {
 			r.FalseAccepts, 100*r.FalseAcceptRate, r.FalseRejects,
 			r.SimSecondsOff, r.SimSecondsOn, r.Speedup)
 	}
-}
-
-// WriteJSON writes the measurements as indented JSON (BENCH_prefilter.json).
-func (b *PrefilterBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

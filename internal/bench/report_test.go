@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +123,46 @@ func TestWriteJSONStructure(t *testing.T) {
 	}
 	if checks, ok := decoded["shape_checks"].([]any); !ok || len(checks) < 10 {
 		t.Errorf("shape_checks = %v", decoded["shape_checks"])
+	}
+}
+
+// TestWriteJSONFile pins the committed BENCH_*.json format: two-space
+// indentation and a trailing newline, with Report reshaped exactly as
+// its WriteJSON shapes it.
+func TestWriteJSONFile(t *testing.T) {
+	dir := t.TempDir()
+	rowsPath := filepath.Join(dir, "rows.json")
+	b := &PrefilterBench{Rows: []PrefilterRow{{Selector: "uniform", Delta: 2}}}
+	if err := WriteJSONFile(rowsPath, b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(rowsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(got, want) {
+		t.Errorf("WriteJSONFile wrote\n%s\nwant\n%s", got, want)
+	}
+
+	reportPath := filepath.Join(dir, "report.json")
+	r := fabricate()
+	if err := WriteJSONFile(reportPath, r); err != nil {
+		t.Fatal(err)
+	}
+	got, err = os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Error("WriteJSONFile and Report.WriteJSON disagree")
 	}
 }
 

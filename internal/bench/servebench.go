@@ -280,10 +280,3 @@ func (b *ServeBench) Render(w io.Writer) {
 			r.WallSec, r.JobsPerSec, r.ReadsPerSec)
 	}
 }
-
-// WriteJSON writes the measurements as indented JSON (BENCH_serve.json).
-func (b *ServeBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}

@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -799,23 +800,23 @@ func partitionSpans(spans []pending, counts []int) [][]pending {
 }
 
 // shardRef resolves a unit's shard id to the index it searches and the
-// coordinate transform its kernel applies: read-split units (-1) search
-// the whole index with no transform; shard units search the slice index,
-// shift positions by the slice origin, and keep only owned positions.
+// coordinate transform its kernel applies: shard units search the slice
+// index, shift positions by the slice origin, and keep only owned
+// positions; read-split units (-1) search the whole index, which owns
+// every position it can report, so the transform is the identity.
 type shardRef struct {
 	ix               *fmindex.Index
 	sliceStart       int64
 	ownStart, ownEnd int64
-	filter           bool
 }
 
 func (p *Pipeline) shardRef(shard int) shardRef {
 	if shard < 0 {
-		return shardRef{ix: p.ix}
+		return shardRef{ix: p.ix, ownEnd: int64(p.ix.Len())}
 	}
 	s := p.shards[shard]
 	return shardRef{ix: s.Index, sliceStart: s.SliceStart,
-		ownStart: s.OwnStart, ownEnd: s.OwnEnd, filter: true}
+		ownStart: s.OwnStart, ownEnd: s.OwnEnd}
 }
 
 // mapOnDevice runs one device's assigned units on its queue, batching
@@ -856,16 +857,8 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 		}
 		out := outFor(u.shard)
 		sp := u.span
-		readLen := len(reads[sp.start])
-		outPerRead := int64(opt.MaxLocations) * locationBytes
-		inPerRead := int64((readLen + 3) / 4)
-		batch := sp.end - sp.start
-		if limit := dev.MaxAlloc / outPerRead; int64(batch) > limit {
-			batch = int(limit)
-		}
-		if limit := dev.MaxAlloc / inPerRead; int64(batch) > limit {
-			batch = int(limit)
-		}
+		lay := newBufLayout(len(reads[sp.start]), opt)
+		batch := int(min(int64(sp.end-sp.start), lay.maxBatch(dev.MaxAlloc)))
 		if batch < 1 {
 			o.failed = true
 			o.err = fmt.Errorf("a single read's buffers exceed the allocation limit")
@@ -887,7 +880,7 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 			if end > sp.end {
 				end = sp.end
 			}
-			err := p.runBatch(ctx, queue, ref, reads[start:end], out[start:end], opt)
+			err := p.runBatch(ctx, queue, ref, lay, reads[start:end], out[start:end], opt)
 			if err == nil {
 				start = end
 				attempts = 0
@@ -957,75 +950,86 @@ func (p *Pipeline) allocWithRetry(ctx *cl.Context, queue *cl.Queue, size int64, 
 	}
 }
 
-// runBatch allocates the batch buffers and enqueues the mapping kernel.
-func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
-	dev := queue.Device()
-	readLen := len(reads[0])
-	inBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64((readLen+3)/4))
-	if err != nil {
-		return fmt.Errorf("read buffer: %w", err)
-	}
-	defer inBuf.Free()
-	outBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(opt.MaxLocations)*locationBytes)
-	if err != nil {
-		return fmt.Errorf("output buffer: %w", err)
-	}
-	defer outBuf.Free()
-
-	if opt.Prefilter == mapper.PrefilterGateKeeper {
-		return p.runBatchPrefilter(ctx, queue, ref, reads, out, opt, inBuf.Size(), outBuf.Size())
-	}
-	kern := p.kernel(ref, reads, out, opt, inBuf.Size()+outBuf.Size())
-	if p.itemHist != nil {
-		kern = instrumentKernel(kern, p.itemHist)
-	}
-	if _, err := queue.EnqueueNDRange(kern, len(reads)); err != nil {
-		return err
-	}
-	return nil
-}
-
 // candidateBytes is the device-side size of one candidate slot in the
 // intermediate buffer between the prefilter and verification kernels
 // (pos int32 + strand, padded).
 const candidateBytes = 8
 
-// runBatchPrefilter is runBatch's two-kernel variant for the optional
-// pre-alignment filter stage: a seed+filter kernel writes the
-// candidates that survive the shifted-Hamming test into fixed per-read
-// slots of a device-resident intermediate buffer, then a verification
-// kernel scans only the survivors. The intermediate buffer counts
-// against the device allocation limit like every other static buffer
-// (an oversized batch fails allocation and is halved by mapOnDevice),
-// but charges no host-transfer bytes — it never crosses the bus. A
-// faulted verification launch retries the whole batch; the prefilter
-// kernel is deterministic and idempotent over its slots, so the retry
-// recomputes identical survivors.
-func (p *Pipeline) runBatchPrefilter(ctx *cl.Context, queue *cl.Queue, ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options, inBytes, outBytes int64) error {
-	dev := queue.Device()
-	// Dedup can only shrink the candidate set, so 2 strands × maxCand
-	// located candidates bound the survivors per read.
-	slotCap := 4 * opt.MaxLocations
-	candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(slotCap)*candidateBytes)
-	if err != nil {
-		return fmt.Errorf("candidate buffer: %w", err)
+// maxCandidates caps the candidates located per strand: the
+// verification slots are static, so a read cannot fan out indefinitely
+// (first-n policy).
+func maxCandidates(opt mapper.Options) int { return 2 * opt.MaxLocations }
+
+// bufLayout is the per-read static-buffer layout of a map batch: the
+// packed read, its first-n mapping slots and, when the prefilter splits
+// the kernel, its candidate slots. mapOnDevice sizes batches from it and
+// runBatch allocates from it, so every buffer a batch needs counts
+// against the allocation limit before the batch is cut.
+type bufLayout struct {
+	read, slots int64 // bytes per read
+	candSlots   int   // candidate slots per read; 0 without the prefilter
+}
+
+func newBufLayout(readLen int, opt mapper.Options) bufLayout {
+	l := bufLayout{
+		read:  int64((readLen + 3) / 4),
+		slots: int64(opt.MaxLocations) * locationBytes,
 	}
-	defer candBuf.Free()
-	backing := make([]mapper.Candidate, len(reads)*slotCap)
-	candOut := make([][]mapper.Candidate, len(reads))
-	for i := range candOut {
-		candOut[i] = backing[i*slotCap : i*slotCap : (i+1)*slotCap]
+	if opt.Prefilter == mapper.PrefilterGateKeeper {
+		// Dedup can only shrink the candidate set, so both strands'
+		// located candidates bound the survivors per read.
+		l.candSlots = 2 * maxCandidates(opt)
 	}
-	pre, ver := p.prefilterKernels(ref, reads, candOut, out, opt, inBytes, outBytes)
-	if p.itemHist != nil {
-		pre = instrumentKernel(pre, p.itemHist)
-		ver = instrumentKernel(ver, p.itemHist)
+	return l
+}
+
+// bufSpec is one static buffer of a batch: its name and bytes per read.
+type bufSpec struct {
+	name    string
+	perRead int64
+}
+
+// buffers lists the batch's static buffers in allocation order.
+func (l bufLayout) buffers() []bufSpec {
+	bs := []bufSpec{{"read", l.read}, {"output", l.slots}}
+	if l.candSlots > 0 {
+		bs = append(bs, bufSpec{"candidate", int64(l.candSlots) * candidateBytes})
 	}
-	if _, err := queue.EnqueueNDRange(pre, len(reads)); err != nil {
-		return err
+	return bs
+}
+
+// maxBatch returns the most reads whose every buffer fits in limit
+// bytes, the OpenCL 1.2 per-allocation cap.
+func (l bufLayout) maxBatch(limit int64) int64 {
+	n := int64(math.MaxInt64)
+	for _, b := range l.buffers() {
+		n = min(n, limit/b.perRead)
 	}
-	if _, err := queue.EnqueueNDRange(ver, len(reads)); err != nil {
-		return err
+	return n
+}
+
+// runBatch allocates the batch's static buffers from its layout, then
+// launches its map kernels in order. The candidate buffer counts against
+// the device allocation limit like every other static buffer but
+// charges no host-transfer bytes: it never crosses the bus. A faulted
+// verification launch retries the whole batch; the prefilter kernel is
+// deterministic and idempotent over its slots, so the retry recomputes
+// identical survivors.
+func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, ref shardRef, lay bufLayout, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
+	for _, b := range lay.buffers() {
+		buf, err := ctx.AllocBuffer(queue.Device(), int64(len(reads))*b.perRead)
+		if err != nil {
+			return fmt.Errorf("%s buffer: %w", b.name, err)
+		}
+		defer buf.Free()
+	}
+	for _, kern := range p.mapKernels(ref, lay, reads, out, opt) {
+		if p.itemHist != nil {
+			kern = instrumentKernel(kern, p.itemHist)
+		}
+		if _, err := queue.EnqueueNDRange(kern, len(reads)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -1046,12 +1050,109 @@ func instrumentKernel(k *cl.Kernel, h *trace.Histogram) *cl.Kernel {
 	return &out
 }
 
-// kernelState is one host worker's private memory for the mapping
-// kernels: the reverse-complement buffer, the candidate and locate
-// scratch slices, the verifier state and the pre-alignment filter
-// scratch. Keeping them here — not captured by the kernel closure — is
-// what lets the work-group scheduler run work items on several workers
-// at once.
+// mapBatch is the per-batch setup every map-kernel stage reads: the
+// index, its text and coordinate transform, the seed parameters and
+// the candidate caps. Kernel bodies capture it read-only.
+type mapBatch struct {
+	ref      shardRef
+	text     dna.PackedSeq
+	selector seed.Selector
+	params   seed.Params
+	maxErr   int
+	maxCand  int
+	locSteps float64
+	opt      mapper.Options
+}
+
+// mapKernels builds a batch's map kernels from one stage list:
+//
+//	gather → dedup → [filter] → verify → owner-filter → finalize
+//
+// Without the prefilter every stage runs in one fused <name>-map kernel.
+// With it the launch boundary falls after filter: <name>-prefilter runs
+// the front half and the GateKeeper-style filter, parking survivors in
+// the read's candidate slot, and <name>-verify runs the back half over
+// them. The filter accepts a superset of the verifiable windows, so both
+// shapes produce byte-identical mappings. Host-transfer bytes follow the
+// buffers: reads travel with the first launch, mapping slots back with
+// the last.
+func (p *Pipeline) mapKernels(ref shardRef, lay bufLayout, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) []*cl.Kernel {
+	readLen := len(reads[0])
+	b := &mapBatch{
+		ref:      ref,
+		text:     ref.ix.Text(),
+		selector: p.selector,
+		params: seed.Params{
+			Errors:      opt.MaxErrors,
+			MinSeedLen:  opt.MinSeedLen,
+			MaxSeedFreq: opt.MaxSeedFreq,
+		},
+		maxErr:   opt.MaxErrors,
+		maxCand:  maxCandidates(opt),
+		locSteps: ref.ix.LocateSteps(),
+		opt:      opt,
+	}
+	if b.params.MinSeedLen <= 0 {
+		b.params.MinSeedLen = DefaultMinSeedLen(readLen, opt.MaxErrors)
+	}
+	seedBytes := int64(seed.DPPeakMem(readLen, opt.MaxErrors, b.params.MinSeedLen, p.selector))
+	newState := func() any {
+		return &kernelState{rev: make([]byte, readLen)}
+	}
+
+	if lay.candSlots == 0 {
+		return []*cl.Kernel{{
+			Name:                p.name + "-map",
+			PrivateBytesPerItem: seedBytes,
+			NewState:            newState,
+			Body: func(wi *cl.WorkItem, state any) {
+				st := state.(*kernelState)
+				read := reads[wi.Global]
+				c := cl.Cost{Items: 1, Bytes: lay.read + lay.slots}
+				cands := st.front(b, read, &c)
+				out[wi.Global] = st.back(b, read, cands, false, &c)
+				wi.Charge(c)
+			},
+		}}
+	}
+
+	backing := make([]mapper.Candidate, len(reads)*lay.candSlots)
+	slots := make([][]mapper.Candidate, len(reads))
+	for i := range slots {
+		slots[i] = backing[i*lay.candSlots : i*lay.candSlots : (i+1)*lay.candSlots]
+	}
+	return []*cl.Kernel{{
+		Name:                p.name + "-prefilter",
+		PrivateBytesPerItem: seedBytes,
+		NewState:            newState,
+		Body: func(wi *cl.WorkItem, state any) {
+			st := state.(*kernelState)
+			read := reads[wi.Global]
+			c := cl.Cost{Items: 1, Bytes: lay.read}
+			cands := st.front(b, read, &c)
+			slots[wi.Global] = st.filter(b, read, cands, slots[wi.Global][:lay.candSlots], &c)
+			wi.Charge(c)
+		},
+	}, {
+		Name:                p.name + "-verify",
+		PrivateBytesPerItem: int64(8 * readLen),
+		NewState:            newState,
+		Body: func(wi *cl.WorkItem, state any) {
+			st := state.(*kernelState)
+			c := cl.Cost{Items: 1, Bytes: lay.slots}
+			out[wi.Global] = st.back(b, reads[wi.Global], slots[wi.Global], true, &c)
+			wi.Charge(c)
+		},
+	}}
+}
+
+// kernelState is one host worker's private memory for the map kernels:
+// the reverse-complement buffer, the candidate and locate scratch
+// slices, the verifier state and the prefilter scratch. Keeping them
+// here — not captured by the kernel closure — is what lets the
+// work-group scheduler run work items on several workers at once. Its
+// stage methods allocate only into this scratch, per the clvet contract
+// the kernel bodies that call them are held to.
 type kernelState struct {
 	vs    mapper.VerifyState
 	rev   []byte
@@ -1061,15 +1162,12 @@ type kernelState struct {
 	fs    filter.State // prefilter shifted-Hamming scratch
 }
 
-// gather runs seed selection and candidate location for both strands of
-// read, appending candidates into st.cands (which the caller resets)
-// and charging the selection and locate work to itemCost. On return
-// st.rev holds the read's reverse complement. This is the shared first
-// half of the combined kernel and the standalone prefilter kernel; it
-// allocates only into kernel-state scratch, per the clvet contract its
-// callers are held to.
-func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
-	params seed.Params, maxCand int, locSteps float64, itemCost *cl.Cost) {
+// front is the stages' front half, gather and dedup: seed selection and
+// candidate location on both strands of read, then candidate dedup. It
+// charges the selection, locate and candidate tallies to c. On return
+// st.rev holds the read's reverse complement.
+func (st *kernelState) front(b *mapBatch, read []byte, c *cl.Cost) []mapper.Candidate {
+	st.cands = st.cands[:0]
 	for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
 		pattern := read
 		if strand == mapper.Reverse {
@@ -1080,231 +1178,116 @@ func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
 			dna.ReverseComplementInto(st.rev, read)
 			pattern = st.rev
 		}
-		sel, err := selector.Select(ref.ix, pattern, params)
+		sel, err := b.selector.Select(b.ref.ix, pattern, b.params)
 		if err != nil {
 			// Static kernels cannot recover; surface as a launch
 			// failure like a real kernel fault would.
 			panic(err)
 		}
-		itemCost.FMSteps += int64(sel.FMSteps)
-		itemCost.DPCells += int64(sel.DPCells)
-		remaining := maxCand
+		c.FMSteps += int64(sel.FMSteps)
+		c.DPCells += int64(sel.DPCells)
+		remaining := b.maxCand
 		for _, s := range sel.Seeds {
 			if remaining <= 0 {
 				break
 			}
-			c := s.Count()
-			if c == 0 {
+			n := s.Count()
+			if n == 0 {
 				continue
 			}
-			if c > remaining {
-				c = remaining
+			if n > remaining {
+				n = remaining
 			}
-			st.locs = ref.ix.Locate(s.Lo, s.Lo+c, 0, st.locs[:0])
-			itemCost.LocateSteps += int64(float64(c) * (1 + locSteps))
+			st.locs = b.ref.ix.Locate(s.Lo, s.Lo+n, 0, st.locs[:0])
+			c.LocateSteps += int64(float64(n) * (1 + b.locSteps))
 			for _, pos := range st.locs {
 				st.cands = append(st.cands, mapper.Candidate{
 					Pos:    pos - int32(s.Start),
 					Strand: strand,
 				})
 			}
-			remaining -= c
+			remaining -= n
 		}
 	}
+	dd := mapper.DedupCandidates(st.cands, int32(b.maxErr))
+	c.Candidates = int64(len(dd))
+	return dd
 }
 
-// kernel builds the combined filtration+verification kernel over a batch
-// against one shard's (or the whole) index. Each work item maps one read
-// on both strands. Shard kernels verify in slice-local coordinates, then
-// shift positions by the slice origin and drop mappings outside the
-// shard's ownership range in place — the merge step only ever sees
-// globally-coordinated, owner-filtered mappings.
-func (p *Pipeline) kernel(ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options, transferBytes int64) *cl.Kernel {
-	maxErr := opt.MaxErrors
-	params := seed.Params{
-		Errors:      maxErr,
-		MinSeedLen:  opt.MinSeedLen,
-		MaxSeedFreq: opt.MaxSeedFreq,
-	}
-	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), maxErr)
-	}
-	// Cap on located candidates per strand: the verification slots are
-	// static, so a read cannot fan out indefinitely (first-n policy).
-	maxCand := 2 * opt.MaxLocations
-	locSteps := ref.ix.LocateSteps()
-	perItemBytes := transferBytes / int64(len(reads))
-
-	return &cl.Kernel{
-		Name:                p.name + "-map",
-		PrivateBytesPerItem: int64(seed.DPPeakMem(len(reads[0]), maxErr, params.MinSeedLen, p.selector)),
-		NewState: func() any {
-			return &kernelState{rev: make([]byte, len(reads[0]))}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			st.cands = st.cands[:0]
-			var itemCost cl.Cost
-			st.gather(p.selector, ref, read, params, maxCand, locSteps, &itemCost)
-			dd := mapper.DedupCandidates(st.cands, int32(maxErr))
-			ms, vc := st.vs.Verify(ref.ix.Text(), read, dd, maxErr, opt.MaxLocations)
-			if ref.filter {
-				// Globalize and owner-filter in place: positions shift by a
-				// constant so the sorted order Verify established survives,
-				// and compaction writes only into slots already held.
-				w := 0
-				for _, m := range ms {
-					g := int64(m.Pos) + ref.sliceStart
-					if g < ref.ownStart || g >= ref.ownEnd {
-						continue
-					}
-					m.Pos = int32(g)
-					ms[w] = m
-					w++
-				}
-				ms = ms[:w]
+// filter is the optional stage between the halves: it runs the
+// shifted-Hamming test (internal/filter) over each candidate's
+// verification window and returns the survivors, written into slot. It
+// charges the filter work and rejections to c.
+func (st *kernelState) filter(b *mapBatch, read []byte, cands, slot []mapper.Candidate, c *cl.Cost) []mapper.Candidate {
+	text := b.text
+	n := len(read)
+	kept := 0
+	prepared := byte(0xFF) // no pattern prepared yet
+	for _, cand := range cands {
+		// The window is exactly the one verification would scan; windows
+		// too short to hold any match are dropped here the way Verify
+		// itself would skip them.
+		lo := int(cand.Pos) - b.maxErr
+		hi := int(cand.Pos) + n + b.maxErr
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > text.Len() {
+			hi = text.Len()
+		}
+		if hi-lo < n-b.maxErr {
+			c.Filtered++
+			continue
+		}
+		if cand.Strand != prepared {
+			// Candidates arrive sorted by strand, so each strand's
+			// pattern bitvectors build at most once per read.
+			pattern := read
+			if cand.Strand == mapper.Reverse {
+				pattern = st.rev
 			}
-			itemCost.VerifyWords += vc.VerifyWords
-			itemCost.Items = 1
-			itemCost.Bytes = perItemBytes
-			itemCost.Candidates = int64(len(dd))
-			itemCost.Verified = int64(len(ms))
-			wi.Charge(itemCost)
-			out[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-		},
+			c.FilterWords += st.fs.Prepare(pattern, b.maxErr)
+			prepared = cand.Strand
+		}
+		if cap(st.win) < hi-lo {
+			st.win = make([]byte, hi-lo)
+		}
+		ok, fw := st.fs.Accept(text.SliceInto(st.win, lo, hi))
+		c.FilterWords += fw
+		if !ok {
+			c.Filtered++
+			continue
+		}
+		slot[kept] = cand
+		kept++
 	}
+	return slot[:kept]
 }
 
-// prefilterKernels builds the two-kernel pre-alignment pipeline over a
-// batch: the prefilter kernel repeats the combined kernel's seed
-// selection, location and dedup, then runs the GateKeeper-style
-// shifted-Hamming filter (internal/filter) over each candidate's
-// verification window and writes the survivors into the read's fixed
-// candidate slot; the verification kernel Myers-scans only the
-// survivors. The filter accepts a superset of the verifiable windows,
-// so the final mappings are byte-identical to the single-kernel path —
-// the equivalence and oracle tests pin exactly that. Host-transfer
-// bytes split across the pair: reads travel with the prefilter launch,
-// mapping slots travel back with verification.
-func (p *Pipeline) prefilterKernels(ref shardRef, reads [][]byte, candOut [][]mapper.Candidate, out [][]mapper.Mapping, opt mapper.Options, inBytes, outBytes int64) (pre, ver *cl.Kernel) {
-	maxErr := opt.MaxErrors
-	params := seed.Params{
-		Errors:      maxErr,
-		MinSeedLen:  opt.MinSeedLen,
-		MaxSeedFreq: opt.MaxSeedFreq,
+// back is the stages' back half: Myers verification of cands, then
+// globalize and owner-filter, then Finalize. Positions shift by a
+// constant, so the sorted order Verify established survives, and the
+// owner-filter compacts in place, writing only into slots already held.
+// It charges the verification tallies to c; when cands are filter
+// survivors (each owning a full window), the ones Myers rejects are the
+// filter's false accepts.
+func (st *kernelState) back(b *mapBatch, read []byte, cands []mapper.Candidate, filtered bool, c *cl.Cost) []mapper.Mapping {
+	ms, vc := st.vs.Verify(b.text, read, cands, b.maxErr, b.opt.MaxLocations)
+	w := 0
+	for _, m := range ms {
+		g := int64(m.Pos) + b.ref.sliceStart
+		if g < b.ref.ownStart || g >= b.ref.ownEnd {
+			continue
+		}
+		m.Pos = int32(g)
+		ms[w] = m
+		w++
 	}
-	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), maxErr)
+	ms = ms[:w]
+	c.VerifyWords += vc.VerifyWords
+	c.Verified = int64(len(ms))
+	if filtered {
+		c.FalseAccepts = int64(len(cands)) - vc.Matched
 	}
-	maxCand := 2 * opt.MaxLocations
-	locSteps := ref.ix.LocateSteps()
-	inPerItem := inBytes / int64(len(reads))
-	outPerItem := outBytes / int64(len(reads))
-	text := ref.ix.Text()
-
-	pre = &cl.Kernel{
-		Name:                p.name + "-prefilter",
-		PrivateBytesPerItem: int64(seed.DPPeakMem(len(reads[0]), maxErr, params.MinSeedLen, p.selector)),
-		NewState: func() any {
-			return &kernelState{rev: make([]byte, len(reads[0]))}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			st.cands = st.cands[:0]
-			var itemCost cl.Cost
-			st.gather(p.selector, ref, read, params, maxCand, locSteps, &itemCost)
-			dd := mapper.DedupCandidates(st.cands, int32(maxErr))
-			n := len(read)
-			slot := candOut[wi.Global][:cap(candOut[wi.Global])]
-			kept := 0
-			prepared := byte(0xFF) // no pattern prepared yet
-			for _, c := range dd {
-				// The window is exactly the one verification would scan;
-				// windows too short to hold any match are dropped here the
-				// way Verify itself would skip them.
-				lo := int(c.Pos) - maxErr
-				hi := int(c.Pos) + n + maxErr
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > text.Len() {
-					hi = text.Len()
-				}
-				if hi-lo < n-maxErr {
-					itemCost.Filtered++
-					continue
-				}
-				if c.Strand != prepared {
-					// Candidates arrive sorted by strand, so each strand's
-					// pattern bitvectors build at most once per read.
-					pattern := read
-					if c.Strand == mapper.Reverse {
-						pattern = st.rev
-					}
-					itemCost.FilterWords += st.fs.Prepare(pattern, maxErr)
-					prepared = c.Strand
-				}
-				if cap(st.win) < hi-lo {
-					st.win = make([]byte, hi-lo)
-				}
-				win := text.SliceInto(st.win, lo, hi)
-				ok, fw := st.fs.Accept(win)
-				itemCost.FilterWords += fw
-				if !ok {
-					itemCost.Filtered++
-					continue
-				}
-				slot[kept] = c
-				kept++
-			}
-			candOut[wi.Global] = slot[:kept]
-			itemCost.Items = 1
-			itemCost.Bytes = inPerItem
-			itemCost.Candidates = int64(len(dd))
-			wi.Charge(itemCost)
-		},
-	}
-
-	ver = &cl.Kernel{
-		Name:                p.name + "-verify",
-		PrivateBytesPerItem: int64(8 * len(reads[0])),
-		NewState: func() any {
-			return &kernelState{}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			cands := candOut[wi.Global]
-			var itemCost cl.Cost
-			ms, vc := st.vs.Verify(text, read, cands, maxErr, opt.MaxLocations)
-			if ref.filter {
-				// Globalize and owner-filter in place, as in the combined
-				// kernel: a constant shift preserves Verify's sort order.
-				w := 0
-				for _, m := range ms {
-					g := int64(m.Pos) + ref.sliceStart
-					if g < ref.ownStart || g >= ref.ownEnd {
-						continue
-					}
-					m.Pos = int32(g)
-					ms[w] = m
-					w++
-				}
-				ms = ms[:w]
-			}
-			itemCost.VerifyWords += vc.VerifyWords
-			itemCost.Items = 1
-			itemCost.Bytes = outPerItem
-			itemCost.Verified = int64(len(ms))
-			// Every slot candidate passed the filter and owns a full
-			// window, so the ones Myers rejects are the filter's false
-			// accepts.
-			itemCost.FalseAccepts = int64(len(cands)) - vc.Matched
-			wi.Charge(itemCost)
-			out[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-		},
-	}
-	return pre, ver
+	return mapper.Finalize(ms, b.opt.Best, b.opt.MaxLocations)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/seed"
 	"repro/internal/simulate"
+	"repro/internal/trace"
 )
 
 // testWorld builds a small repetitive reference plus simulated reads.
@@ -201,31 +202,49 @@ func TestPipelineMultiDeviceSplitAgreesWithSingle(t *testing.T) {
 
 func TestPipelineBatchingUnderTinyAllocLimit(t *testing.T) {
 	ref, set := testWorld(t, 20_000, 40, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: 1000}
 	big, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resWant, err := big.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A device whose MaxAlloc holds the index but only a dozen reads'
-	// output slots forces many batches; results must not change.
-	tinyDev := cl.SystemOneCPU()
-	tinyDev.MaxAlloc = big.Index().SizeBytes() + 4096
-	tiny, err := NewFromIndex(big.Index(), []*cl.Device{tinyDev}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resGot, err := tiny.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range resWant.Mappings {
-		if len(resWant.Mappings[i]) != len(resGot.Mappings[i]) {
-			t.Fatalf("read %d: batched run differs", i)
-		}
+	for _, pf := range []string{mapper.PrefilterOff, mapper.PrefilterGateKeeper} {
+		t.Run(pf, func(t *testing.T) {
+			opt := mapper.Options{MaxErrors: 3, MaxLocations: 1000, Prefilter: pf}
+			resWant, err := big.Map(set.Reads, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A device whose MaxAlloc holds the index but only a dozen
+			// reads' output slots forces many batches; results must not
+			// change.
+			tinyDev := cl.SystemOneCPU()
+			tinyDev.MaxAlloc = big.Index().SizeBytes() + 4096
+			rec := trace.NewRecorder()
+			tiny, err := NewFromIndex(big.Index(), []*cl.Device{tinyDev}, Config{Tracer: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resGot, err := tiny.Map(set.Reads, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range resWant.Mappings {
+				if len(resWant.Mappings[i]) != len(resGot.Mappings[i]) {
+					t.Fatalf("read %d: batched run differs", i)
+				}
+			}
+			// Batch sizing counts every static buffer the batch allocates
+			// (the prefilter's candidate slots included), so a fault-free
+			// run never fails an allocation and never halves a batch.
+			if cl.EnvFaultPlan() != nil {
+				return // an armed chaos plan injects faults on purpose
+			}
+			if resGot.Faults.Any() {
+				t.Errorf("fault-free batched run reports faults: %+v", resGot.Faults)
+			}
+			if n := countInstants(rec, "batch-halved"); n != 0 {
+				t.Errorf("fault-free batched run halved %d batches", n)
+			}
+		})
 	}
 }
 

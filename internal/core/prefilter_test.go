@@ -156,6 +156,75 @@ func TestPrefilterEquivalenceSharded(t *testing.T) {
 	}
 }
 
+// TestPrefilterCostLedger pins what each map-kernel stage charges. The
+// prefilter only moves the launch boundary, so with it on the shared
+// stages charge exactly what the fused kernel charges, in both dispatch
+// geometries: the same seed, locate, candidate, verified and transfer
+// tallies, one Items unit per launch (two launches per read instead of
+// one), and no more verification work than the unfiltered run.
+func TestPrefilterCostLedger(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ref, set := testWorld(t, 60_000, 100, simulate.ERR012100)
+	offOpt, onOpt := prefilterOpt(3, 100)
+
+	geometries := []struct {
+		name  string
+		build func() (*Pipeline, error)
+	}{
+		{"read-split", func() (*Pipeline, error) {
+			return New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
+		}},
+		{"sharded", func() (*Pipeline, error) {
+			return NewSharded(makeShards(ref, 3, 256, 0), 256, cl.SystemOne().Devices, Config{Exec: cl.Serial})
+		}},
+	}
+	for _, g := range geometries {
+		t.Run(g.name, func(t *testing.T) {
+			cost := func(opt mapper.Options) cl.Cost {
+				t.Helper()
+				p, err := g.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Map(set.Reads, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Cost
+			}
+			off, on := cost(offOpt), cost(onOpt)
+			same := []struct {
+				field   string
+				off, on int64
+			}{
+				{"FMSteps", off.FMSteps, on.FMSteps},
+				{"DPCells", off.DPCells, on.DPCells},
+				{"LocateSteps", off.LocateSteps, on.LocateSteps},
+				{"Candidates", off.Candidates, on.Candidates},
+				{"Verified", off.Verified, on.Verified},
+				{"Bytes", off.Bytes, on.Bytes},
+			}
+			for _, f := range same {
+				if f.off != f.on {
+					t.Errorf("%s: off %d, on %d; want equal", f.field, f.off, f.on)
+				}
+			}
+			if on.Items != 2*off.Items {
+				t.Errorf("Items: on %d, want 2 x off %d", on.Items, off.Items)
+			}
+			if on.VerifyWords > off.VerifyWords {
+				t.Errorf("VerifyWords: on %d exceeds off %d", on.VerifyWords, off.VerifyWords)
+			}
+			if off.FilterWords != 0 || off.Filtered != 0 || off.FalseAccepts != 0 {
+				t.Errorf("unfiltered run charged filter tallies: %+v", off)
+			}
+			if on.FilterWords <= 0 || on.Filtered <= 0 {
+				t.Errorf("filtered run charged no filter work: %+v", on)
+			}
+		})
+	}
+}
+
 // TestPrefilterEquivalenceUnderFaults arms a fault plan (transient launch
 // failure, allocation failure forcing a batch halving, permanent device
 // loss) against the filtered pipeline: recovery replays and resliced
