@@ -11,7 +11,7 @@
 //	           [-platform system1|system1-cpu|hikey970] [-split 0.52,0.24,0.24]
 //	           [-max-locations 100] [-selector dp|coral] [-prefilter off|gatekeeper] [-out out.sam]
 //	           [-trace trace.json] [-metrics-out metrics.prom]
-//	           [-batch 4096 [-lenient] [-checkpoint run.ckpt [-resume]]]
+//	           [-lenient] [-batch 4096 [-checkpoint run.ckpt [-resume]]]
 //
 // `index build` writes a versioned container (magic, format version,
 // SHA-256 section checksums, shard table) wrapping one FM-index per
@@ -22,10 +22,11 @@
 // broadcasting every read batch to all shards and merging candidates in
 // global coordinates.
 //
-// With -batch N the reads stream through the mapper in batches of N
-// (bounded memory); -checkpoint makes the run crash-safe and -resume
-// continues an interrupted one, bit-identically. -lenient skips
-// malformed records instead of aborting.
+// Single-end reads stream through the mapper in batches of -batch N
+// (bounded memory; the default 0 maps the whole input as one batch);
+// -checkpoint makes a batched run crash-safe and -resume continues an
+// interrupted one, bit-identically. -lenient skips malformed records
+// instead of aborting.
 package main
 
 import (
@@ -268,10 +269,10 @@ func runMap(args []string) error {
 	outPath := fs.String("out", "", "SAM output path (default stdout)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the simulated run (chrome://tracing, Perfetto)")
 	metricsPath := fs.String("metrics-out", "", "write the run's metric snapshot here (.prom suffix = Prometheus text exposition, else JSON)")
-	batchFlag := fs.Int("batch", 0, "streaming mode: map reads in batches of this size (0 = load everything in memory)")
-	ckptFlag := fs.String("checkpoint", "", "streaming mode: persist a resumable checkpoint here at every batch boundary")
+	batchFlag := fs.Int("batch", 0, "map reads in batches of this size (0 = the whole input as one batch)")
+	ckptFlag := fs.String("checkpoint", "", "persist a resumable checkpoint here at every batch boundary (needs -batch > 0 and -out)")
 	resumeFlag := fs.Bool("resume", false, "continue an interrupted run from -checkpoint")
-	lenientFlag := fs.Bool("lenient", false, "streaming mode: skip malformed/unmappable records instead of aborting")
+	lenientFlag := fs.Bool("lenient", false, "skip malformed/unmappable records instead of aborting")
 	fs.Parse(args)
 	if (*indexPath == "") == (*refPath == "") {
 		return fmt.Errorf("map: exactly one of -index and -ref is required")
@@ -279,21 +280,17 @@ func runMap(args []string) error {
 	if *readsPath == "" {
 		return fmt.Errorf("map: -reads is required")
 	}
-	streaming := *batchFlag > 0
-	if *ckptFlag != "" && !streaming {
+	if *ckptFlag != "" && *batchFlag <= 0 {
 		return fmt.Errorf("map: -checkpoint requires -batch > 0 (checkpoints are written at batch boundaries)")
+	}
+	if *ckptFlag != "" && *outPath == "" {
+		return fmt.Errorf("map: -checkpoint requires -out (resume cuts the SAM file back to its checkpointed prefix)")
 	}
 	if *resumeFlag && *ckptFlag == "" {
 		return fmt.Errorf("map: -resume requires -checkpoint")
 	}
-	if *lenientFlag && !streaming {
-		return fmt.Errorf("map: -lenient requires -batch > 0 (lenient parsing is a streaming-ingest mode)")
-	}
-	if streaming && *reads2Path != "" {
-		return fmt.Errorf("map: -batch is not supported in paired mode")
-	}
-	if streaming && *outPath == "" {
-		return fmt.Errorf("map: -batch requires -out (streamed SAM cannot go to stdout)")
+	if *reads2Path != "" && (*batchFlag > 0 || *lenientFlag) {
+		return fmt.Errorf("map: -batch and -lenient are not supported in paired mode (pairs are not streamed)")
 	}
 
 	devices, err := platformDevices(*platform)
@@ -336,58 +333,29 @@ func runMap(args []string) error {
 		return writeMetrics(rec, *metricsPath)
 	}
 
-	// Reference index: either a verified on-disk artifact (-index) or an
-	// in-memory rebuild from FASTA (-ref). The artifact path additionally
-	// yields the container digest, the O(1) checkpoint fingerprint.
-	var (
-		p          *core.Pipeline
-		g          *genome.Genome
-		ix         *fmindex.Index // set only on the -ref rebuild path
-		fpDigest   [32]byte
-		haveDigest bool
-	)
+	// Reference index: a verified on-disk artifact (-index), or the same
+	// artifact `index build` would write, built in memory from FASTA
+	// (-ref). Either way one constructor turns it into the pipeline.
+	var f *index.File
 	if *indexPath != "" {
-		f, err := index.LoadFile(*indexPath)
-		if err != nil {
+		if f, err = index.LoadFile(*indexPath); err != nil {
 			return fmt.Errorf("%w (rebuild with `repute index build`)", err)
 		}
-		// Coordinate-only genome: SAM emission needs contig boundaries, not
-		// the reference text (that lives in the shard indexes).
-		g, err = genome.FromContigs(f.Meta.Contigs)
-		if err != nil {
-			return err
-		}
-		if f.Meta.Sharded() {
-			if split != nil {
-				return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
-			}
-			shards := make([]core.Shard, len(f.Indexes))
-			for i, s := range f.Meta.Shards {
-				shards[i] = core.Shard{
-					Index:      f.Indexes[i],
-					OwnStart:   s.OwnStart,
-					OwnEnd:     s.OwnEnd,
-					SliceStart: s.SliceStart,
-					SliceEnd:   s.SliceEnd,
-				}
-			}
-			p, err = core.NewSharded(shards, f.Meta.Overlap, devices, cfg)
-		} else {
-			p, err = core.NewFromIndex(f.Indexes[0], devices, cfg)
-		}
-		if err != nil {
-			return err
-		}
-		fpDigest, haveDigest = f.Digest(), true
 	} else {
-		g, err = loadReference(*refPath)
+		g, err := loadReference(*refPath)
 		if err != nil {
 			return err
 		}
-		ix = fmindex.Build(g.Text(), fmindex.Options{SASampleRate: *saRate})
-		if p, err = core.NewFromIndex(ix, devices, cfg); err != nil {
+		if f, err = index.Build(g, 1, 0, fmindex.Options{SASampleRate: *saRate}); err != nil {
 			return err
 		}
+	}
+	if f.Meta.Sharded() && split != nil {
+		return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
+	}
+	p, g, err := serve.NewPipeline(f, devices, cfg)
+	if err != nil {
+		return err
 	}
 	opt := mapper.Options{
 		MaxErrors:    *errorsFlag,
@@ -396,116 +364,46 @@ func runMap(args []string) error {
 		Prefilter:    *prefilterFlag,
 	}
 
-	if streaming {
-		if *ckptFlag != "" {
-			// Fail on an unusable checkpoint directory now, before any
-			// mapping work, instead of at the first batch-boundary Save.
-			if err := checkpoint.CheckDir(filepath.Dir(*ckptFlag)); err != nil {
-				return err
-			}
-		}
-		extras := []string{
-			fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
-			fmt.Sprintf("cigar=%t", *cigarFlag), "selector=" + *selector,
-			"platform=" + *platform, "split=" + *splitFlag,
-		}
-		var fingerprint string
-		if haveDigest {
-			fingerprint = checkpoint.FingerprintDigest(fpDigest, opt, extras...)
-		} else {
-			if fingerprint, err = checkpoint.Fingerprint(ix, opt, extras...); err != nil {
-				return err
-			}
-		}
-		if err := runMapStream(p, g, serve.StreamRun{
-			ReadsPath:      *readsPath,
-			SAMPath:        *outPath,
-			CheckpointPath: *ckptFlag,
-			Resume:         *resumeFlag,
-			Lenient:        *lenientFlag,
-			Batch:          *batchFlag,
-			Cigar:          *cigarFlag,
-			Options:        opt,
-			Fingerprint:    fingerprint,
-			Faults:         cl.EnvFaultPlan(),
-		}); err != nil {
-			return err
-		}
-		return finish()
-	}
-
-	rf, err := os.Open(*readsPath)
-	if err != nil {
-		return err
-	}
-	recs, err := fastx.ReadFastq(rf)
-	rf.Close()
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(0))
-	reads := make([][]byte, len(recs))
-	for i, rec := range recs {
-		if reads[i], err = fastx.CodesOf(rec, rng); err != nil {
-			return err
-		}
-	}
-
 	if *reads2Path != "" {
-		if err := runMapPaired(p, g, recs, reads, *reads2Path, *errorsFlag, *sminFlag,
+		if err := runMapPaired(p, g, *readsPath, *reads2Path, *errorsFlag, *sminFlag,
 			*maxLoc, int32(*minInsert), int32(*maxInsert), *outPath); err != nil {
 			return err
 		}
 		return finish()
 	}
 
-	wallStart := time.Now()
-	res, err := p.Map(reads, opt)
-	if err != nil {
-		return err
+	run := serve.StreamRun{
+		ReadsPath:      *readsPath,
+		SAMPath:        *outPath,
+		CheckpointPath: *ckptFlag,
+		Resume:         *resumeFlag,
+		Lenient:        *lenientFlag,
+		Batch:          *batchFlag,
+		Cigar:          *cigarFlag,
+		Options:        opt,
+		Faults:         cl.EnvFaultPlan(),
 	}
-	wall := time.Since(wallStart)
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+	if *ckptFlag != "" {
+		// Fail on an unusable checkpoint directory now, before any
+		// mapping work, instead of at the first batch-boundary Save.
+		if err := checkpoint.CheckDir(filepath.Dir(*ckptFlag)); err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
-	}
-	refs := make([]sam.RefSeq, len(g.Contigs()))
-	for i, c := range g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	sw, err := sam.NewMultiWriter(out, refs)
-	if err != nil {
-		return err
-	}
-	dropped := 0
-	for i, rec := range recs {
-		n, err := serve.WriteReadAlignments(sw, g, p, rec.Name, reads[i], res.Mappings[i],
-			*cigarFlag, *errorsFlag)
-		if err != nil {
+		extras := []string{
+			fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
+			fmt.Sprintf("cigar=%t", *cigarFlag), "selector=" + *selector,
+			"platform=" + *platform, "split=" + *splitFlag,
+		}
+		// An artifact's container digest is the O(1) fingerprint; a -ref
+		// build has no container, so its FM-index is hashed instead.
+		if *indexPath != "" {
+			run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt, extras...)
+		} else if run.Fingerprint, err = checkpoint.Fingerprint(f.Indexes[0], opt, extras...); err != nil {
 			return err
 		}
-		dropped += n
 	}
-	if err := sw.Flush(); err != nil {
+	if err := runMapStream(p, g, run); err != nil {
 		return err
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "dropped %d boundary-spanning alignment(s)\n", dropped)
-	}
-
-	fmt.Fprintf(os.Stderr,
-		"mapped %d reads: %d with locations, %d total locations\n"+
-			"simulated mapping time %.3f s, marginal energy %.2f J (host wall %s)\n",
-		len(reads), res.MappedReads(), res.TotalLocations(),
-		res.SimSeconds, res.EnergyJ, wall.Round(time.Millisecond))
-	for dev, sec := range res.DeviceSeconds {
-		fmt.Fprintf(os.Stderr, "  %-32s %.3f s busy\n", dev, sec)
 	}
 	return finish()
 }
@@ -562,28 +460,21 @@ func writeMetrics(rec *trace.Recorder, path string) error {
 }
 
 // runMapPaired maps mate pairs and writes properly-paired SAM records for
-// concordant fragments, single-end records otherwise.
-func runMapPaired(p *core.Pipeline, g *genome.Genome, recs1 []fastx.Record, reads1 [][]byte,
-	reads2Path string, errors, smin, maxLoc int, minInsert, maxInsert int32, outPath string) error {
-	rf, err := os.Open(reads2Path)
+// concordant fragments, single-end records otherwise. Pairs are not
+// streamed: both mate files load whole.
+func runMapPaired(p *core.Pipeline, g *genome.Genome, reads1Path, reads2Path string,
+	errors, smin, maxLoc int, minInsert, maxInsert int32, outPath string) error {
+	recs1, reads1, err := loadReads(reads1Path)
 	if err != nil {
 		return err
 	}
-	recs2, err := fastx.ReadFastq(rf)
-	rf.Close()
+	_, reads2, err := loadReads(reads2Path)
 	if err != nil {
 		return err
 	}
-	if len(recs2) != len(recs1) {
+	if len(reads2) != len(reads1) {
 		return fmt.Errorf("paired input mismatch: %d mate-1 reads, %d mate-2 reads",
-			len(recs1), len(recs2))
-	}
-	rng := rand.New(rand.NewSource(0))
-	reads2 := make([][]byte, len(recs2))
-	for i, rec := range recs2 {
-		if reads2[i], err = fastx.CodesOf(rec, rng); err != nil {
-			return err
-		}
+			len(reads1), len(reads2))
 	}
 
 	res, err := p.MapPairs(reads1, reads2, mapper.PairOptions{
@@ -684,4 +575,26 @@ func runMapPaired(p *core.Pipeline, g *genome.Genome, recs1 []fastx.Record, read
 		"paired mapping: %d/%d fragments concordant, simulated time %.3f s, energy %.2f J\n",
 		concordant, len(reads1), res.SimSeconds, res.EnergyJ)
 	return nil
+}
+
+// loadReads parses a whole FASTQ file into its records and base codes,
+// resolving ambiguous bases with a fresh seed-0 generator per file.
+func loadReads(path string) ([]fastx.Record, [][]byte, error) {
+	rf, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := fastx.ReadFastq(rf)
+	rf.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(0))
+	reads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		if reads[i], err = fastx.CodesOf(rec, rng); err != nil {
+			return nil, nil, err
+		}
+	}
+	return recs, reads, nil
 }

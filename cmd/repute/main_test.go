@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -158,6 +159,18 @@ func runRepute(t *testing.T, extraEnv []string, args ...string) (string, error) 
 	return stderr.String(), err
 }
 
+// runReputeStdout is runRepute with standard output captured apart
+// from standard error.
+func runReputeStdout(t *testing.T, args ...string) ([]byte, string, error) {
+	t.Helper()
+	cmd := exec.Command(binPath, args...)
+	cmd.Env = cleanEnv()
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	return stdout.Bytes(), stderr.String(), err
+}
+
 func mapArgs(out string, extra ...string) []string {
 	return append([]string{"map", "-index", indexPath, "-reads", readsPath,
 		"-batch", "7", "-out", out}, extra...)
@@ -172,19 +185,89 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestStreamedMatchesInMemory: the streamed SAM equals the in-memory SAM.
+// TestStreamedMatchesInMemory: SAM to standard output, the default
+// whole-input batch written with -out and a -batch 7 run are equal.
 func TestStreamedMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
-	mem := filepath.Join(dir, "mem.sam")
+	whole := filepath.Join(dir, "whole.sam")
 	stream := filepath.Join(dir, "stream.sam")
-	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath, "-out", mem); err != nil {
-		t.Fatalf("in-memory map: %v\n%s", err, out)
+	stdout, out, err := runReputeStdout(t, "map", "-index", indexPath, "-reads", readsPath)
+	if err != nil {
+		t.Fatalf("map to stdout: %v\n%s", err, out)
+	}
+	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath,
+		"-batch", "0", "-out", whole); err != nil {
+		t.Fatalf("whole-input map: %v\n%s", err, out)
 	}
 	if out, err := runRepute(t, nil, mapArgs(stream)...); err != nil {
 		t.Fatalf("streamed map: %v\n%s", err, out)
 	}
-	if !bytes.Equal(readFile(t, mem), readFile(t, stream)) {
-		t.Error("streamed SAM differs from in-memory SAM")
+	if !bytes.Equal(stdout, readFile(t, whole)) {
+		t.Error("stdout SAM differs from the -out SAM")
+	}
+	if !bytes.Equal(readFile(t, whole), readFile(t, stream)) {
+		t.Error("streamed SAM differs from the whole-input SAM")
+	}
+}
+
+// TestDeviceLinesSorted: the per-device busy lines of the run summary
+// come out in sorted order, not map order.
+func TestDeviceLinesSorted(t *testing.T) {
+	for run := 0; run < 3; run++ {
+		out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath,
+			"-platform", "system1", "-split", "0.52,0.24,0.24", "-out", filepath.Join(t.TempDir(), "out.sam"))
+		if err != nil {
+			t.Fatalf("map: %v\n%s", err, out)
+		}
+		var devs []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasSuffix(l, " s busy") {
+				devs = append(devs, strings.TrimSpace(l))
+			}
+		}
+		if len(devs) != 3 || !slices.IsSorted(devs) {
+			t.Fatalf("device lines %q, want three in sorted order", devs)
+		}
+	}
+}
+
+// TestEmptyReads: an empty FASTQ maps to a header-only SAM and exit 0,
+// with or without -batch.
+func TestEmptyReads(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.fq")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sams [][]byte
+	for _, batch := range []string{"0", "7"} {
+		sam := filepath.Join(dir, "b"+batch+".sam")
+		if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", empty,
+			"-batch", batch, "-out", sam); err != nil {
+			t.Fatalf("-batch %s: %v\n%s", batch, err, out)
+		}
+		sams = append(sams, readFile(t, sam))
+	}
+	if !bytes.Equal(sams[0], sams[1]) {
+		t.Error("empty-input SAM depends on -batch")
+	}
+	for _, l := range strings.SplitAfter(string(sams[0]), "\n") {
+		if l != "" && !strings.HasPrefix(l, "@") {
+			t.Fatalf("empty input produced a record line %q", l)
+		}
+	}
+}
+
+// TestCheckpointNeedsOut: resume cuts the SAM file back to its
+// checkpointed prefix, which standard output cannot do.
+func TestCheckpointNeedsOut(t *testing.T) {
+	out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath,
+		"-batch", "7", "-checkpoint", filepath.Join(t.TempDir(), "run.ckpt"))
+	if err == nil {
+		t.Fatal("-checkpoint without -out accepted")
+	}
+	if !strings.Contains(out, "-checkpoint requires -out") {
+		t.Errorf("want the -out requirement, got:\n%s", out)
 	}
 }
 
@@ -312,30 +395,38 @@ func TestResumeRefusesShortSAM(t *testing.T) {
 }
 
 // TestLenientDegradation: strict mode fails on a corrupted FASTQ with a
-// typed position; lenient mode completes and reports the skip tallies.
+// typed position; lenient mode completes and reports the skip tallies,
+// with and without -batch.
 func TestLenientDegradation(t *testing.T) {
 	dir := t.TempDir()
-	sam := filepath.Join(dir, "dirty.sam")
-	out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", dirtyPath,
-		"-batch", "7", "-out", sam)
-	if err == nil {
-		t.Fatal("strict map of corrupted FASTQ must fail")
-	}
-	if !strings.Contains(out, "length-mismatch") || !strings.Contains(out, "dirty.fq") {
-		t.Errorf("strict error lacks typed position:\n%s", out)
-	}
-	out, err = runRepute(t, nil, "map", "-index", indexPath, "-reads", dirtyPath,
-		"-batch", "7", "-lenient", "-out", sam)
-	if err != nil {
-		t.Fatalf("lenient map: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "skipped 3 malformed/unmappable record(s)") {
-		t.Errorf("lenient summary lacks skip tally:\n%s", out)
-	}
-	for _, reason := range []string{"length-mismatch=1", "missing-header=1", "short-read=1"} {
-		if !strings.Contains(out, reason) {
-			t.Errorf("lenient summary lacks %q:\n%s", reason, out)
+	var sams [][]byte
+	for _, batch := range []string{"7", "0"} {
+		sam := filepath.Join(dir, "dirty"+batch+".sam")
+		out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", dirtyPath,
+			"-batch", batch, "-out", sam)
+		if err == nil {
+			t.Fatalf("-batch %s: strict map of corrupted FASTQ must fail", batch)
 		}
+		if !strings.Contains(out, "length-mismatch") || !strings.Contains(out, "dirty.fq") {
+			t.Errorf("-batch %s: strict error lacks typed position:\n%s", batch, out)
+		}
+		out, err = runRepute(t, nil, "map", "-index", indexPath, "-reads", dirtyPath,
+			"-batch", batch, "-lenient", "-out", sam)
+		if err != nil {
+			t.Fatalf("-batch %s: lenient map: %v\n%s", batch, err, out)
+		}
+		if !strings.Contains(out, "skipped 3 malformed/unmappable record(s)") {
+			t.Errorf("-batch %s: lenient summary lacks skip tally:\n%s", batch, out)
+		}
+		for _, reason := range []string{"length-mismatch=1", "missing-header=1", "short-read=1"} {
+			if !strings.Contains(out, reason) {
+				t.Errorf("-batch %s: lenient summary lacks %q:\n%s", batch, reason, out)
+			}
+		}
+		sams = append(sams, readFile(t, sam))
+	}
+	if !bytes.Equal(sams[0], sams[1]) {
+		t.Error("unbatched lenient SAM differs from the -batch 7 lenient SAM")
 	}
 }
 

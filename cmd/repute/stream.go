@@ -1,9 +1,10 @@
 package main
 
-// Streaming map mode: `repute map -batch N` reads FASTQ incrementally
-// and maps it batch by batch through serve.RunStream — the resume engine
-// `repute serve` runs its jobs through too — holding O(batch) reads in
-// memory. With -checkpoint the run becomes crash-safe — every batch
+// Single-end map mode: `repute map` reads FASTQ incrementally and maps
+// it batch by batch through serve.RunStream — the resume engine
+// `repute serve` runs its jobs through too. With -batch N it holds
+// O(N) reads in memory; the default -batch 0 maps the whole input as
+// one batch. With -checkpoint the run becomes crash-safe — every batch
 // boundary persists a checkpoint binding the SAM prefix, the input
 // offset, the RNG draw count and the device fault ordinals, so a killed
 // run resumed with -resume produces output bit-identical to an
@@ -27,25 +28,28 @@ import (
 	"repro/internal/serve"
 )
 
-// runMapStream is the streaming/checkpointed counterpart of runMap's
-// in-memory mapping loop: serve.RunStream does the mapping and the
-// resume protocol; this front end adds signal handling, the test hooks
-// and the summary.
+// runMapStream runs every single-end map: serve.RunStream does the
+// mapping and the resume protocol; this front end adds signal handling,
+// the test hooks and the summary.
 func runMapStream(p *core.Pipeline, g *genome.Genome, run serve.StreamRun) error {
 	// Graceful shutdown: the first SIGINT/SIGTERM requests a stop at the
 	// next batch boundary (OnBatch returns core.Stop after that boundary's
 	// checkpoint is durable); a second signal falls back to default
 	// delivery and kills the process — which is exactly the crash the
-	// checkpoint protocol survives.
+	// checkpoint protocol survives. An unbatched run has only one
+	// boundary, at the end, so it keeps the default delivery and a
+	// signal ends it at once.
 	var stopped atomic.Bool
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	go func() {
-		<-sigCh
-		stopped.Store(true)
-		signal.Stop(sigCh)
-	}()
+	if run.Batch > 0 {
+		sigCh := make(chan os.Signal, 1)
+		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sigCh)
+		go func() {
+			<-sigCh
+			stopped.Store(true)
+			signal.Stop(sigCh)
+		}()
+	}
 
 	killAfter := envInt("REPUTE_KILL_AFTER_BATCH")
 	delay := time.Duration(envInt("REPUTE_STREAM_BATCH_DELAY_MS")) * time.Millisecond

@@ -305,37 +305,44 @@ func DefaultMinSeedLen(readLen, errors int) int {
 	return smin
 }
 
-// shares normalises the configured split into per-device read counts.
+// shares normalises the configured split into per-device read counts. A
+// nil or all-zero split puts every read on device 0.
 func (p *Pipeline) shares(total int) []int {
-	counts := make([]int, len(p.devices))
-	if p.split == nil {
-		counts[0] = total
+	if counts := largestRemainder(total, p.split); counts != nil {
 		return counts
 	}
+	counts := make([]int, len(p.devices))
+	counts[0] = total
+	return counts
+}
+
+// largestRemainder splits total across the slots in proportion to their
+// positive weights (non-positive weights get nothing). The rounding
+// remainder goes to the largest weight — never to a zero-weight slot.
+// Returns nil when no weight is positive.
+func largestRemainder(total int, weights []float64) []int {
 	sum := 0.0
-	for _, s := range p.split {
-		if s > 0 {
-			sum += s
+	for _, w := range weights {
+		if w > 0 {
+			sum += w
 		}
 	}
 	if sum == 0 {
-		counts[0] = total
-		return counts
+		return nil
 	}
+	counts := make([]int, len(weights))
 	assigned := 0
 	largest, largestShare := 0, 0.0
-	for i, s := range p.split {
-		if s < 0 {
-			s = 0
+	for i, w := range weights {
+		if w <= 0 {
+			continue
 		}
-		if s > largestShare {
-			largest, largestShare = i, s
+		if w > largestShare {
+			largest, largestShare = i, w
 		}
-		counts[i] = int(float64(total) * s / sum)
+		counts[i] = int(float64(total) * w / sum)
 		assigned += counts[i]
 	}
-	// The rounding remainder goes to the device with the largest share —
-	// never to a device whose configured share is zero.
 	counts[largest] += total - assigned
 	return counts
 }
@@ -730,43 +737,20 @@ func (p *Pipeline) deadlineFor(di int) float64 {
 // reads spread evenly. Returns nil when no device is eligible.
 func (p *Pipeline) sharesAmong(total int, eligible []bool) []int {
 	weights := make([]float64, len(p.devices))
-	sum, any := 0.0, false
 	for i, ok := range eligible {
-		if !ok {
-			continue
-		}
-		any = true
-		if p.split != nil && p.split[i] > 0 {
+		if ok && p.split != nil {
 			weights[i] = p.split[i]
-			sum += weights[i]
 		}
 	}
-	if !any {
-		return nil
+	if counts := largestRemainder(total, weights); counts != nil {
+		return counts
 	}
-	if sum == 0 {
-		for i, ok := range eligible {
-			if ok {
-				weights[i] = 1
-				sum++
-			}
+	for i, ok := range eligible {
+		if ok {
+			weights[i] = 1
 		}
 	}
-	counts := make([]int, len(p.devices))
-	assigned := 0
-	largest, largestShare := 0, 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if w > largestShare {
-			largest, largestShare = i, w
-		}
-		counts[i] = int(float64(total) * w / sum)
-		assigned += counts[i]
-	}
-	counts[largest] += total - assigned
-	return counts
+	return largestRemainder(total, weights)
 }
 
 // partitionSpans deals the sorted spans out by per-device read counts,

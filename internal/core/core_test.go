@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -449,27 +450,50 @@ func TestSharesRemainderGoesToLargestShare(t *testing.T) {
 		split []float64
 		total int
 		want  []int
+		// eligible, when set, runs the failover split among the
+		// surviving devices instead of the initial one.
+		eligible []bool
 	}{
+		// A nil or all-zero split puts everything on device 0.
+		{nil, 5, []int{5, 0, 0}, nil},
+		{[]float64{0, 0, 0}, 5, []int{5, 0, 0}, nil},
 		// A zero-share device must receive no reads — the remainder
 		// belongs to the largest share, not unconditionally to device 0.
-		{[]float64{0, 1, 0}, 7, []int{0, 7, 0}},
-		{[]float64{0, 0.5, 0.5}, 5, []int{0, 3, 2}},
+		{[]float64{0, 1, 0}, 7, []int{0, 7, 0}, nil},
+		{[]float64{0, 0.5, 0.5}, 5, []int{0, 3, 2}, nil},
 		// Negative shares are clamped and never absorb the remainder.
-		{[]float64{-1, 1, 0}, 3, []int{0, 3, 0}},
+		{[]float64{-1, 1, 0}, 3, []int{0, 3, 0}, nil},
 		// Largest-share device takes the rounding leftovers.
-		{[]float64{0.2, 0.6, 0.2}, 7, []int{1, 5, 1}},
-		{[]float64{1, 0, 0}, 4, []int{4, 0, 0}},
+		{[]float64{0.2, 0.6, 0.2}, 7, []int{1, 5, 1}, nil},
+		{[]float64{1, 0, 0}, 4, []int{4, 0, 0}, nil},
+		// Failover keeps the survivors' configured proportions.
+		{[]float64{0.2, 0.6, 0.2}, 7, []int{4, 0, 3}, []bool{true, false, true}},
+		// Survivors that all have zero share spread evenly; the remainder
+		// goes to the first of them.
+		{[]float64{0, 1, 0}, 7, []int{4, 0, 3}, []bool{true, false, true}},
+		{nil, 5, []int{0, 3, 2}, []bool{false, true, true}},
+		// Only one device eligible takes everything, whatever its share.
+		{[]float64{0.2, 0.6, 0.2}, 7, []int{0, 0, 7}, []bool{false, false, true}},
+		{[]float64{0, 1, 0}, 7, []int{7, 0, 0}, []bool{true, false, false}},
 	} {
 		p, err := New(ref, sys.Devices, Config{Split: tc.split})
 		if err != nil {
 			t.Fatal(err)
 		}
 		counts := p.shares(tc.total)
-		for i := range counts {
-			if counts[i] != tc.want[i] {
-				t.Errorf("shares(%v, %d) = %v want %v", tc.split, tc.total, counts, tc.want)
-				break
-			}
+		if tc.eligible != nil {
+			counts = p.sharesAmong(tc.total, tc.eligible)
 		}
+		if !slices.Equal(counts, tc.want) {
+			t.Errorf("shares(%v, %d, eligible %v) = %v want %v", tc.split, tc.total, tc.eligible, counts, tc.want)
+		}
+	}
+	// No eligible device: no split at all.
+	p, err := New(ref, sys.Devices, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts := p.sharesAmong(5, []bool{false, false, false}); counts != nil {
+		t.Errorf("sharesAmong with no eligible device = %v, want nil", counts)
 	}
 }

@@ -192,7 +192,8 @@ func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error
 }
 
 // NewScanSource adapts a fastx.Scanner plus Codec into a MapStream
-// source cutting batches of batchSize reads. startRead seats the batches
+// source cutting batches of batchSize reads; batchSize <= 0 makes one
+// batch of the whole input. startRead seats the batches
 // on the global read axis (the resume point of a checkpointed run). In
 // lenient mode, records that parse but are too short to map — length at
 // most maxErrors, which ValidateReads would reject — are skipped and
@@ -202,7 +203,7 @@ func NewScanSource(sc *fastx.Scanner, codec *fastx.Codec, batchSize int, lenient
 	index, next := 0, startRead
 	return func() (StreamBatch, error) {
 		b := StreamBatch{Index: index, Start: next}
-		for len(b.Reads) < batchSize && sc.Scan() {
+		for (batchSize <= 0 || len(b.Reads) < batchSize) && sc.Scan() {
 			rec := sc.Record()
 			codes := codec.Codes(rec)
 			if lenient && len(codes) <= maxErrors {

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/durable"
@@ -64,6 +65,22 @@ const (
 	// δ errors needs overlap ≥ L + 2δ to be found near a shard boundary).
 	DefaultOverlap = 1024
 )
+
+// MaxRefBases is the largest reference an index can hold. Suffix-array
+// entries, occ counts, candidate and mapping positions are all int32,
+// and the suffix array also holds the sentinel suffix at text position
+// n, so n itself must fit in an int32.
+const MaxRefBases = math.MaxInt32
+
+// TooLargeError reports a reference outside the int32 position envelope.
+type TooLargeError struct {
+	Bases int64
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("index: reference of %d bases exceeds the %d-base limit (positions, including the suffix array's sentinel at position n, are int32)",
+		e.Bases, int64(MaxRefBases))
+}
 
 // ErrFormat is wrapped by container-level structural errors: bad magic,
 // unsupported version, impossible section table.
@@ -158,9 +175,13 @@ func Partition(n int64, k, overlap int) []ShardGeom {
 
 // Build constructs an in-memory artifact for a genome: one FM-index when
 // shards <= 1, otherwise `shards` overlapping per-shard indexes. overlap
-// <= 0 selects DefaultOverlap (ignored for a single shard).
+// <= 0 selects DefaultOverlap (ignored for a single shard). A reference
+// longer than MaxRefBases is refused with a *TooLargeError.
 func Build(g *genome.Genome, shards, overlap int, opts fmindex.Options) (*File, error) {
 	n := int64(g.Len())
+	if n > MaxRefBases {
+		return nil, &TooLargeError{Bases: n}
+	}
 	if shards <= 1 {
 		f := &File{
 			Meta: Meta{
@@ -380,6 +401,9 @@ func (sr *sectionReader) readMeta() (*Meta, error) {
 }
 
 func (m *Meta) validate() error {
+	if m.RefBases > MaxRefBases {
+		return &TooLargeError{Bases: m.RefBases}
+	}
 	if len(m.Shards) == 0 {
 		return fmt.Errorf("index: meta declares no shards: %w", ErrFormat)
 	}

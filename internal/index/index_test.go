@@ -270,3 +270,49 @@ func TestBuildRejectsTooManyShards(t *testing.T) {
 		t.Fatalf("200 shards over 100 bases accepted")
 	}
 }
+
+// TestReferenceEnvelope: positions are int32 throughout, so a reference
+// of 2^31 bases or more must be refused with a typed error by the
+// builder (index build, map -ref) and by the loader (a stored artifact
+// whose meta declares it). A coordinate-only genome stands in for the
+// reference, so nothing large is allocated.
+func TestReferenceEnvelope(t *testing.T) {
+	big, err := genome.FromContigs([]genome.Contig{{Name: "big", Length: MaxRefBases + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		_, err := Build(big, shards, 0, fmindex.Options{})
+		var tl *TooLargeError
+		if !errors.As(err, &tl) || tl.Bases != MaxRefBases+1 {
+			t.Errorf("Build of a %d-base reference into %d shard(s): err = %v, want *TooLargeError", big.Len(), shards, err)
+		}
+	}
+
+	meta := func(n int64) Meta {
+		return Meta{
+			RefBases: n,
+			Contigs:  []genome.Contig{{Name: "big", Length: int(n)}},
+			Shards:   Partition(n, 1, 0),
+		}
+	}
+	if m := meta(MaxRefBases); m.validate() != nil {
+		t.Errorf("meta at the limit rejected: %v", m.validate())
+	}
+	// The loader reaches validate through the stored meta: an artifact
+	// declaring a too-large reference is refused before any shard loads.
+	f, err := Build(testGenome(t, 100, 9), 1, 0, fmindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Meta = meta(MaxRefBases + 1)
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	var tl *TooLargeError
+	if !errors.As(err, &tl) {
+		t.Fatalf("Load of an artifact declaring %d bases: err = %v, want *TooLargeError", int64(MaxRefBases+1), err)
+	}
+}

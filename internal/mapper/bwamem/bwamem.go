@@ -191,13 +191,8 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		}
 	}
 
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "bwamem-map", len(reads), 2048, newState, body)
-	if err != nil {
+	if err := mapper.RunOnDevice(res, m.dev, "bwamem-map", len(reads), 2048, newState, body); err != nil {
 		return nil, err
 	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
 	return res, nil
 }

@@ -151,13 +151,8 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		res.Mappings[wi.Global] = mapper.Finalize(ms, true, maxLoc)
 	}
 
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "gem-map", len(reads), 512, newState, body)
-	if err != nil {
+	if err := mapper.RunOnDevice(res, m.dev, "gem-map", len(reads), 512, newState, body); err != nil {
 		return nil, err
 	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
 	return res, nil
 }

@@ -204,13 +204,8 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		res.Mappings[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
 	}
 
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "hobbes3-map", len(reads), 1024, newState, body)
-	if err != nil {
+	if err := mapper.RunOnDevice(res, m.dev, "hobbes3-map", len(reads), 1024, newState, body); err != nil {
 		return nil, err
 	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
 	return res, nil
 }

@@ -130,13 +130,8 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		res.Mappings[wi.Global] = mapper.Finalize(ms, m.best || opt.Best, maxLoc)
 	}
 
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "yara-map", len(reads), 512, newState, body)
-	if err != nil {
+	if err := mapper.RunOnDevice(res, m.dev, "yara-map", len(reads), 512, newState, body); err != nil {
 		return nil, err
 	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
 	return res, nil
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/fastx"
+	"repro/internal/genome"
 	"repro/internal/mapper"
 	"repro/internal/seed"
 	"repro/internal/trace"
@@ -182,7 +183,7 @@ var errBadInput = errors.New("serve: bad input")
 // the same resume protocol as `repute map -resume`, so a resumed job is
 // bit-identical to an uninterrupted one.
 func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) error {
-	p, err := s.newPipeline(rec, devs)
+	p, g, err := s.newPipeline(rec, devs)
 	if err != nil {
 		return err
 	}
@@ -251,7 +252,7 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		return nil
 	}
 
-	_, err = RunStream(ctx, p, s.g, run)
+	_, err = RunStream(ctx, p, g, run)
 	var pe *fastx.ParseError
 	if errors.As(err, &pe) {
 		// Clients see the job's own input name, not the spool layout.
@@ -265,22 +266,9 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 // job's device partition. The pipeline itself is cheap scaffolding —
 // the FM-indexes are shared and the devices belong to the job for its
 // lifetime; only the tracer hookup is per job.
-func (s *Server) newPipeline(rec *trace.Recorder, devs []*cl.Device) (*core.Pipeline, error) {
+func (s *Server) newPipeline(rec *trace.Recorder, devs []*cl.Device) (*core.Pipeline, *genome.Genome, error) {
 	cfg := core.Config{Name: "REPUTE", Selector: seed.REPUTE{}, Tracer: rec}
-	if s.file.Meta.Sharded() {
-		shards := make([]core.Shard, len(s.file.Indexes))
-		for i, sh := range s.file.Meta.Shards {
-			shards[i] = core.Shard{
-				Index:      s.file.Indexes[i],
-				OwnStart:   sh.OwnStart,
-				OwnEnd:     sh.OwnEnd,
-				SliceStart: sh.SliceStart,
-				SliceEnd:   sh.SliceEnd,
-			}
-		}
-		return core.NewSharded(shards, s.file.Meta.Overlap, devs, cfg)
-	}
-	if len(devs) > 1 {
+	if !s.file.Meta.Sharded() && len(devs) > 1 {
 		// Read-split with a nil split sends every read to the first
 		// device; a multi-device partition wants the whole partition busy.
 		// The pool is homogeneous, so even shares are the deterministic
@@ -291,5 +279,5 @@ func (s *Server) newPipeline(rec *trace.Recorder, devs []*cl.Device) (*core.Pipe
 			cfg.Split[i] = 1
 		}
 	}
-	return core.NewFromIndex(s.file.Indexes[0], devs, cfg)
+	return NewPipeline(s.file, devs, cfg)
 }

@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cl"
-	"repro/internal/genome"
 	"repro/internal/index"
 	"repro/internal/mapper"
 	"repro/internal/trace"
@@ -115,7 +114,6 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	file    *index.File
-	g       *genome.Genome
 	digest  [32]byte
 	devices []*cl.Device
 	reg     *trace.Registry
@@ -193,10 +191,6 @@ func New(cfg Config) (*Server, error) {
 		d.SetWatchdog(cfg.WatchdogFactor)
 	}
 
-	g, err := genome.FromContigs(cfg.Index.Meta.Contigs)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(cfg.Spool, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool: %w", err)
 	}
@@ -211,7 +205,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		file:       cfg.Index,
-		g:          g,
 		digest:     cfg.Index.Digest(),
 		devices:    cfg.Devices,
 		reg:        trace.NewRegistry(),

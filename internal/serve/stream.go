@@ -1,12 +1,14 @@
 package serve
 
-// The resumable streaming run behind both `repute map -batch` and the
-// service's job attempts. It owns the whole resume protocol (DESIGN.md
-// §11) so the two front ends cannot drift: load and verify the
-// checkpoint, arm the fault plan and re-seat its ordinals, cut the SAM
-// back to the checkpointed prefix, seek the scanner and fast-forward the
-// ambiguity codec, then map batch by batch, making each batch's SAM
-// bytes and checkpoint durable before the caller's per-batch hook runs.
+// The resumable streaming run behind every single-end `repute map` and
+// the service's job attempts, and the one constructor that turns an
+// index artifact into their pipeline. RunStream owns the whole resume
+// protocol (DESIGN.md §11) so the two front ends cannot drift: load and
+// verify the checkpoint, arm the fault plan and re-seat its ordinals,
+// cut the SAM back to the checkpointed prefix, seek the scanner and
+// fast-forward the ambiguity codec, then map batch by batch, making each
+// batch's SAM bytes and checkpoint durable before the caller's per-batch
+// hook runs.
 
 import (
 	"context"
@@ -20,23 +22,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/fastx"
 	"repro/internal/genome"
+	"repro/internal/index"
 	"repro/internal/mapper"
 	"repro/internal/sam"
 )
 
 // StreamRun describes one resumable streaming map run.
 type StreamRun struct {
-	// ReadsPath is the FASTQ input; SAMPath receives the output.
+	// ReadsPath is the FASTQ input; SAMPath receives the output, or
+	// standard output when empty.
 	ReadsPath string
 	SAMPath   string
 	// CheckpointPath is where every batch boundary is persisted; empty
-	// runs without checkpoints. Resume continues the run recorded there.
+	// runs without checkpoints. A checkpoint needs a SAMPath, since resume
+	// cuts that file back to the checkpointed prefix. Resume continues
+	// the run recorded there.
 	CheckpointPath string
 	Resume         bool
 	// Lenient skips malformed records instead of stopping at the first.
 	Lenient bool
-	// Batch is the reads per batch; a resumed checkpoint must have been
-	// written with the same size, or batch boundaries would shift.
+	// Batch is the reads per batch, <= 0 for one batch holding the whole
+	// input; a resumed checkpoint must have been written with the same
+	// size, or batch boundaries would shift.
 	Batch   int
 	Cigar   bool
 	Options mapper.Options
@@ -74,6 +81,9 @@ func (e *ShortSAMError) Error() string {
 // with core.Stop; a resumed run ends byte-identical, SAM and checkpoint,
 // to one that was never interrupted.
 func RunStream(ctx context.Context, p *core.Pipeline, g *genome.Genome, run StreamRun) (*checkpoint.State, error) {
+	if run.SAMPath == "" && run.CheckpointPath != "" {
+		return nil, errors.New("serve: a checkpointed run needs a SAM file, not standard output")
+	}
 	st := &checkpoint.State{
 		Version:       checkpoint.Version,
 		Fingerprint:   run.Fingerprint,
@@ -119,11 +129,15 @@ func RunStream(ctx context.Context, p *core.Pipeline, g *genome.Genome, run Stre
 		}
 	}
 
+	// out is nil when the SAM goes to standard output, which is neither
+	// probed, synced nor closed here.
 	out, sw, err := openSAM(run.SAMPath, g, run.Resume, st.SAMBytes)
 	if err != nil {
 		return nil, err
 	}
-	defer out.Close()
+	if out != nil {
+		defer out.Close()
+	}
 
 	rf, err := os.Open(run.ReadsPath)
 	if err != nil {
@@ -149,7 +163,7 @@ func RunStream(ctx context.Context, p *core.Pipeline, g *genome.Genome, run Stre
 	// the checkpoint — in that order, so a checkpoint never claims bytes
 	// a power cut could still take back.
 	commit := func() error {
-		if err := sw.Flush(); err != nil {
+		if err := sw.Flush(); err != nil || out == nil {
 			return err
 		}
 		pos, err := out.Seek(0, io.SeekCurrent)
@@ -225,8 +239,10 @@ func RunStream(ctx context.Context, p *core.Pipeline, g *genome.Genome, run Stre
 	if err := commit(); err != nil {
 		return nil, err
 	}
-	if err := out.Close(); err != nil {
-		return nil, err
+	if out != nil {
+		if err := out.Close(); err != nil {
+			return nil, err
+		}
 	}
 	if stopped {
 		return st, core.Stop
@@ -234,8 +250,42 @@ func RunStream(ctx context.Context, p *core.Pipeline, g *genome.Genome, run Stre
 	return st, nil
 }
 
-// openSAM opens the run's SAM output. A fresh run creates a headered
-// file. A resume cuts the file back to the checkpointed prefix and
+// NewPipeline builds the pipeline for an index artifact over devs: shard
+// dispatch for a sharded artifact, otherwise read-split over its one
+// index. It also returns the artifact's coordinate-only genome, which is
+// all SAM emission needs; the reference text lives in the indexes. A
+// sharded artifact rejects cfg.Split, since each device already holds
+// one reference slice.
+func NewPipeline(f *index.File, devs []*cl.Device, cfg core.Config) (*core.Pipeline, *genome.Genome, error) {
+	g, err := genome.FromContigs(f.Meta.Contigs)
+	if err != nil {
+		return nil, nil, err
+	}
+	var p *core.Pipeline
+	if f.Meta.Sharded() {
+		shards := make([]core.Shard, len(f.Indexes))
+		for i, s := range f.Meta.Shards {
+			shards[i] = core.Shard{
+				Index:      f.Indexes[i],
+				OwnStart:   s.OwnStart,
+				OwnEnd:     s.OwnEnd,
+				SliceStart: s.SliceStart,
+				SliceEnd:   s.SliceEnd,
+			}
+		}
+		p, err = core.NewSharded(shards, f.Meta.Overlap, devs, cfg)
+	} else {
+		p, err = core.NewFromIndex(f.Indexes[0], devs, cfg)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, g, nil
+}
+
+// openSAM opens the run's SAM output. An empty path writes a headered
+// SAM to standard output and returns a nil file. A fresh run creates a
+// headered file. A resume cuts the file back to the checkpointed prefix and
 // appends header-less records: a crash can leave flushed bytes past that
 // prefix but never fewer, because the prefix was fsynced before the
 // checkpoint recorded it — so a shorter file is refused with a
@@ -244,6 +294,10 @@ func openSAM(path string, g *genome.Genome, resume bool, samBytes int64) (*os.Fi
 	refs := make([]sam.RefSeq, len(g.Contigs()))
 	for i, c := range g.Contigs() {
 		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
+	}
+	if path == "" {
+		sw, err := sam.NewMultiWriter(os.Stdout, refs)
+		return nil, sw, err
 	}
 	if !resume {
 		out, err := os.Create(path)

@@ -52,12 +52,7 @@ func corruptFastq(fx *fixture) ([]byte, int) {
 // streamWorld builds a fresh three-device pipeline over fx's index.
 func streamWorld(t *testing.T, fx *fixture) (*core.Pipeline, *genome.Genome) {
 	t.Helper()
-	g, err := genome.FromContigs(fx.file.Meta.Contigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := threeDevicePool()
-	p, err := core.NewFromIndex(fx.file.Indexes[0], devs,
+	p, g, err := NewPipeline(fx.file, threeDevicePool(),
 		core.Config{Name: "REPUTE", Selector: seed.REPUTE{}, Split: []float64{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +195,42 @@ func TestRunStreamStopAtBoundary(t *testing.T) {
 	}
 	if got := readAll(t, run.SAMPath); !bytes.Equal(got, fx.baselineSAM(t, false, 5, 100)) {
 		t.Error("stopped-and-resumed SAM differs from the in-memory baseline")
+	}
+}
+
+// TestRunStreamWholeInput: Batch 0 maps the whole input as one batch,
+// byte-identical to the in-memory baseline, and a checkpointed run
+// refuses standard output, which resume could not cut back.
+func TestRunStreamWholeInput(t *testing.T) {
+	fx := newFixture(t, 30_000, 24)
+	dir := t.TempDir()
+	reads := filepath.Join(dir, "reads.fq")
+	if err := os.WriteFile(reads, fx.fastq, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := StreamRun{
+		ReadsPath: reads,
+		SAMPath:   filepath.Join(dir, "out.sam"),
+		Options:   mapper.Options{MaxErrors: 5, MaxLocations: 100},
+	}
+	p, g, err := NewPipeline(fx.file, []*cl.Device{cl.SystemOneCPU()}, core.Config{Name: "REPUTE", Selector: seed.REPUTE{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := RunStream(context.Background(), p, g, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Batches != 1 || st.Reads != len(fx.reads) {
+		t.Errorf("unbatched run: %d batch(es), %d reads; want 1 batch of %d", st.Batches, st.Reads, len(fx.reads))
+	}
+	if got := readAll(t, run.SAMPath); !bytes.Equal(got, fx.baselineSAM(t, false, 5, 100)) {
+		t.Error("unbatched SAM differs from the in-memory baseline")
+	}
+
+	run.SAMPath, run.CheckpointPath, run.Batch = "", filepath.Join(dir, "run.ckpt"), 5
+	if _, err := RunStream(context.Background(), p, g, run); err == nil {
+		t.Error("checkpointed run to standard output accepted")
 	}
 }
 
